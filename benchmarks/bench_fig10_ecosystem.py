@@ -22,8 +22,7 @@ def run_ecosystem(workers_per_service: int):
     brands = [ct.add_brand(f"b{i}", f"brand number {i}") for i in range(4)]
     ct.sync()
 
-    with WorkerFleet(ct.eco, workers=workers_per_service,
-                     wait_timeout=0.5) as fleet:
+    with WorkerFleet(ct.eco, workers=workers_per_service) as fleet:
         start = time.perf_counter()
         for step in range(REQUESTS):
             member = rng.choice(members)

@@ -94,6 +94,11 @@ class Message:
         #: runtime state of one queue's copy, never serialised.
         self.enqueued_at: Optional[float] = None
         self.dwell: Optional[float] = None
+        #: Dispatch bookkeeping (set by the subscriber's dispatch step):
+        #: first delivery on the step's give-up clock, and when the
+        #: message first parked on an unmet dependency.
+        self.first_delivered: Optional[float] = None
+        self.parked_at: Optional[float] = None
 
     def to_json(self) -> str:
         payload = {

@@ -127,37 +127,9 @@ class SubscriberQueue:
     # -- subscriber side -----------------------------------------------------
 
     def pop(self, timeout: Optional[float] = 0.0) -> Optional[Message]:
-        """Take the next message (it stays unacked until :meth:`ack`).
-
-        ``timeout=0`` polls; ``timeout=None`` blocks indefinitely. The
-        wait is a predicate re-check loop against a shared deadline: a
-        spurious wakeup, or a notify consumed by a faster worker, puts
-        the caller back to sleep for the *remaining* time instead of
-        returning ``None`` early (a dropped delivery from the caller's
-        point of view).
-        """
-        yield_point("queue.pop", queue=self.name)
-        with self._lock:
-            if self.decommissioned:
-                raise QueueDecommissioned(self.name)
-            if not self._items and timeout != 0.0:
-                if timeout is None:
-                    while not self._items and not self.decommissioned:
-                        self._available.wait()
-                else:
-                    deadline = time.monotonic() + timeout
-                    while not self._items and not self.decommissioned:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._available.wait(remaining)
-            if self.decommissioned:
-                raise QueueDecommissioned(self.name)
-            if not self._items:
-                return None
-            message = self._take_locked()
-        yield_point("queue.popped", queue=self.name, message=message)
-        return message
+        """Take the next message (it stays unacked until :meth:`ack`)."""
+        popped = self.pop_many(1, timeout)
+        return popped[0] if popped else None
 
     def _take_locked(self) -> Message:
         """Pop the head with full per-delivery bookkeeping. Caller
@@ -179,12 +151,17 @@ class SubscriberQueue:
     def pop_many(
         self, max_n: int, timeout: Optional[float] = 0.0
     ) -> List[Message]:
-        """Drain up to ``max_n`` messages in one lock round-trip.
+        """Take up to ``max_n`` messages in one lock round-trip; each
+        stays unacked until :meth:`ack`.
 
-        Blocks like :meth:`pop` for the *first* message; the rest are
-        taken only if already queued. Each message gets the same
-        per-delivery bookkeeping as ``pop`` (delivery count, unacked
-        table, dwell, trace dwell span), and ``queue.popped`` is
+        Waits for the *first* message only: ``timeout=0`` polls,
+        ``timeout=None`` blocks indefinitely. The wait is a predicate
+        re-check loop against a shared deadline: a spurious wakeup, or a
+        notify consumed by a faster worker, puts the caller back to
+        sleep for the *remaining* time instead of returning empty early
+        (a dropped delivery from the caller's point of view). Every
+        message gets its per-delivery bookkeeping (delivery count,
+        unacked table, dwell, trace dwell span), and ``queue.popped`` is
         emitted per message, in pop order, after the lock is released.
         """
         if max_n <= 0:
@@ -261,16 +238,9 @@ class SubscriberQueue:
             yield_point("queue.nacked", queue=self.name, message=message)
 
     def defer(self, message: Message) -> None:
-        """Return an unacked message to the *back* of the queue.
-
-        The worker pools use this instead of :meth:`nack` when a
-        delivery stalled purely on a dependency wait: the missing
-        predecessor is somewhere behind it in this very queue, so
-        redelivering at the front would hand the popper the same
-        message back while the predecessor stays buried — with several
-        workers and small batches that cycle can starve the chain head
-        indefinitely. Rotating to the back guarantees every queued
-        message surfaces within one revolution."""
+        """Return an unacked message to the *back* of the queue: the
+        §4.4 generation gate's rotation, whose blocker (an older
+        generation's message) may sit behind it in this very queue."""
         yield_point("queue.defer", queue=self.name, message=message)
         with self._lock:
             tolerated = self.decommissioned or message.seq not in self._unacked
@@ -282,9 +252,7 @@ class SubscriberQueue:
                 self._items.append(message)
                 if self.durability is not None:
                     # The rotation is durable state: restore rebuilds the
-                    # queue from pub records (original publish order), so
-                    # an unlogged defer would resurrect the chain-head-
-                    # buried ordering this rotation just fixed.
+                    # queue from pub records (original publish order).
                     self.durability.log_defer(self.name, message)
                 self._available.notify()
         if tolerated:

@@ -1,10 +1,14 @@
 """The Synapse subscriber engine (§4.1, §4.2).
 
-Workers take write messages off the service's durable queue, wait until
-the message's dependencies are satisfied in the local version store
-(per the subscription's delivery mode), apply the operations through the
-local ORM (firing the application's active-model callbacks), increment
-the dependency counters, and ack.
+Workers take write messages off the service's durable queue, check
+that the message's dependencies are satisfied in the local version
+store (per the subscription's delivery mode), apply the operations
+through the local ORM (firing the application's active-model
+callbacks), increment the dependency counters, and ack. A message whose
+dependencies are not met yet does not block its worker: it *parks* in
+the version store's readiness index, still an unacked delivery, until
+a counter bump reaches its versions and nacks it back to the queue
+front (:class:`Dispatcher`).
 
 Weak mode never waits: it applies fresh updates and discards stale ones.
 During bootstrap every message is handled with weak semantics (§3.2).
@@ -12,10 +16,13 @@ During bootstrap every message is handled with weak semantics (§3.2).
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.broker.message import Message
 from repro.core.delivery import (
@@ -27,7 +34,7 @@ from repro.core.delivery import (
     effective_dependencies,
 )
 from repro.core.dependencies import dep_name
-from repro.errors import QueueDecommissioned, SubscriptionError
+from repro.errors import SubscriptionError
 from repro.orm.associations import snake_case
 from repro.orm.callbacks import run_callbacks
 from repro.orm.model import pluralize
@@ -56,6 +63,34 @@ class SubscriptionSpec:
 
 def table_for_type(type_name: str) -> str:
     return pluralize(snake_case(type_name))
+
+
+class BatchOutcome(NamedTuple):
+    """What :meth:`SynapseSubscriber.process_batch` made of a batch."""
+
+    #: Applied, or already applied (a redelivered duplicate): ack.
+    done: List[Message]
+    #: Not applicable yet, each with its unmet requirements — None when
+    #: the §4.4 generation gate holds it behind older messages.
+    waiting: List[Tuple[Message, Optional[Dict[str, int]]]]
+    #: Kept from landing by an apply error (theirs or an earlier
+    #: member's): nack.
+    retry: List[Message]
+    #: Apply errors raised.
+    errors: int
+
+
+class StepResult(NamedTuple):
+    """One :meth:`Dispatcher.step`: what it popped and how it settled."""
+
+    popped: List[Message]
+    applied: int = 0
+    parked: int = 0
+    retried: int = 0
+    errors: int = 0
+
+
+_IDLE = StepResult([])
 
 
 class SynapseSubscriber:
@@ -163,104 +198,43 @@ class SynapseSubscriber:
     # Synchronous draining (deterministic execution)
     # ------------------------------------------------------------------
 
-    def _flow_controller(self):
-        """The ecosystem's FlowController when batched apply is on."""
-        controller = getattr(self.service.ecosystem, "flow", None)
-        if controller is not None and controller.config.batch_apply:
-            return controller
-        return None
-
-    def drain(self, max_rounds: int = 1000) -> int:
+    def drain(self) -> int:
         """Process queued messages until quiescent; returns the number
-        processed. Messages whose dependencies cannot be satisfied stay
-        queued (the §6.5 deadlock scenario when messages were lost)."""
+        applied. Messages whose dependencies cannot be satisfied end up
+        back in the queue (the §6.5 deadlock scenario when messages were
+        lost)."""
         if self.queue is None:
             return 0
-        controller = self._flow_controller()
-        if controller is not None:
-            return self._drain_batched(max_rounds, controller)
-        processed = 0
-        pending: List[Message] = []
-        for _ in range(max_rounds):
-            try:
-                while True:
-                    message = self.queue.pop()
-                    if message is None:
-                        break
-                    pending.append(message)
-            except QueueDecommissioned:
-                # Messages popped in earlier rounds must not leak as
-                # phantom in-flight deliveries: return them (a tolerated
-                # no-op on the dead queue) before propagating.
-                for message in pending:
-                    self.queue.nack(message)
-                raise
-            progress = False
-            remaining: List[Message] = []
-            for message in sorted(pending, key=lambda m: m.seq):
-                if self.process_message(message):
-                    self.queue.ack(message)
-                    processed += 1
-                    progress = True
-                else:
-                    remaining.append(message)
-            pending = remaining
-            if not progress and not len(self.queue):
-                break
-        for message in pending:
-            self.queue.nack(message)
-        if self.bootstrapping and self.queue is not None and not len(self.queue):
-            self.bootstrapping = False
-        return processed
-
-    def _drain_batched(self, max_rounds: int, controller) -> int:
-        """Drain via ``pop_many`` + :meth:`process_batch` — the same
-        quiescence semantics as :meth:`drain`, with the per-message
-        pop/verify/apply amortised across group-committed batches."""
-        batch_max = controller.config.batch_max
-        flow = self.queue.flow
-        processed = 0
-        pending: List[Message] = []
-        for _ in range(max_rounds):
-            try:
-                while True:
-                    batch = self.queue.pop_many(batch_max)
-                    if not batch:
-                        break
-                    pending.extend(batch)
-            except QueueDecommissioned:
-                for message in pending:
-                    self.queue.nack(message)
-                raise
-            progress = False
-            pending.sort(key=lambda m: m.seq)
-            remaining: List[Message] = []
-            for start in range(0, len(pending), batch_max):
-                chunk = pending[start:start + batch_max]
-                done, retry, _errors = self.process_batch(chunk)
-                for message in done:
-                    self.queue.ack(message)
-                    processed += 1
-                    progress = True
-                remaining.extend(retry)
-                if done and flow is not None:
-                    flow.batch_size.record(len(done))
-            pending = remaining
-            if not progress and not len(self.queue):
-                break
-        for message in pending:
-            self.queue.nack(message)
-        if self.bootstrapping and self.queue is not None and not len(self.queue):
+        flow = getattr(self.service.ecosystem, "flow", None)
+        batched = flow is not None and flow.config.batch_apply
+        batch_max = flow.config.batch_max if batched else 1
+        dispatcher = Dispatcher(self)
+        processed = idle = 0
+        try:
+            # Quiescent once a whole revolution of the queue neither
+            # applied nor parked anything (only deferrals and retries).
+            while idle <= len(self.queue):
+                step = dispatcher.step(batch_max)
+                processed += step.applied
+                idle = 0 if step.applied or step.parked else idle + 1
+        finally:
+            # Parked deliveries go back to the queue (a tolerated no-op
+            # on a decommissioned one) instead of leaking as phantom
+            # in-flight messages.
+            self.service.subscriber_version_store.release_all()
+        if self.bootstrapping and not len(self.queue):
             self.bootstrapping = False
         return processed
 
     def stuck_dependencies(self) -> Dict[str, Tuple[int, int]]:
-        """Unsatisfied deps of queued messages (deadlock diagnostics)."""
+        """Unsatisfied deps of queued and parked messages (deadlock
+        diagnostics): dep -> (required, current)."""
         if self.queue is None:
             return {}
         out: Dict[str, Tuple[int, int]] = {}
         store = self.service.subscriber_version_store
-        for message in self.queue.peek_all():
+        parked = [key for key in store.parked() if isinstance(key, Message)]
+        for message in self.queue.peek_all() + parked:
             required = {**message.dependencies, **message.external_dependencies}
             out.update(store.missing(required))
         return out
@@ -269,178 +243,120 @@ class SynapseSubscriber:
     # Message processing
     # ------------------------------------------------------------------
 
-    def process_message(self, message: Message, wait_timeout: float = 0.0) -> bool:
+    def process_message(self, message: Message) -> bool:
         """Apply one message if its dependencies allow; True when done."""
-        if self._already_applied(message.uid):
-            self._duplicates.increment()
-            yield_point("dedup.duplicate", message=message)
-            return True  # redelivered duplicate: safe to ack again
-        if message.trace is None:
-            return self._process(message, wait_timeout)
-        # Traced message: make the trace the thread's current trace so an
-        # over-threshold histogram observation anywhere in the apply path
-        # captures this message's uid as its exemplar.
-        with activate_trace(message.trace):
-            return self._process(message, wait_timeout)
+        return bool(self.process_batch([message]).done)
 
-    def _process(self, message: Message, wait_timeout: float) -> bool:
-        if message.repair:
-            # Anti-entropy repair: never waits (the whole point is to
-            # heal counter deficits that would make waiting eternal) and
-            # bypasses the generation gate, which could itself be
-            # deadlocked behind the very divergence being repaired.
-            self._apply_repair(message)
-            return True
-        mode = self.app_modes.get(message.app, WEAK)
-        if not self._generation_ready(message):
-            return False
-
-        store = self.service.subscriber_version_store
-        if (self.bootstrapping or message.bootstrap) and mode != WEAK:
-            # Bootstrap forces weak semantics (§3.2): apply without
-            # waiting, but keep full counter accounting so the configured
-            # mode resumes cleanly once in sync.
-            self._apply_timed(message)
-            store.apply_counts(message.counter_increments())
-            self._finish(message)
-            return True
-
-        object_deps = self._object_deps(message)
-        if mode == WEAK:
-            self._apply_weak(message, object_deps)
-            self._finish(message)
-            return True
-
-        required = dict(
-            effective_dependencies(message.dependencies, mode, set(object_deps))
-        )
-        required.update(message.external_dependencies)
-        yield_point("dep.check", message=message, required=required)
-        wait_start = trace_now()
-        if wait_timeout > 0:
-            if not store.wait_satisfied(required, wait_timeout):
-                return False
-        elif not store.satisfied(required):
-            return False
-        waited = trace_now() - wait_start
-        self.dep_wait.record(waited)
-        if message.trace is not None:
-            message.trace.add(STAGE_DEP_WAIT, wait_start, waited)
-        self._apply_timed(message)
-        # Increment every own-app dependency; externals are never bumped.
-        store.apply_counts(message.counter_increments())
-        self._finish(message)
-        return True
-
-    # ------------------------------------------------------------------
-    # Batched processing (flow control)
-    # ------------------------------------------------------------------
-
-    def process_batch(
-        self, messages: List[Message], wait_timeout: float = 0.0
-    ) -> Tuple[List[Message], List[Message], int]:
-        """Verify and apply a ``pop_many`` batch; returns
-        ``(done, retry, errors)`` — ``done`` should be acked, ``retry``
-        nacked (or given up on), ``errors`` counts apply failures.
+    def process_batch(self, messages: List[Message]) -> "BatchOutcome":
+        """Verify and apply a batch; a single message is a batch of one.
 
         Dependencies are verified once for the whole batch: a message
         is eligible when the store *plus the bumps earlier batch
         members will make* satisfies it, so in-batch causal chains
         (e.g. consecutive writes by the same session user) land
-        together. All eligible messages then apply in one engine
-        transaction (group commit) when the local engine supports
-        transactions; inside it, interleave events are record-only —
-        the batch is one atomic step, and a suspended scheduler step
-        while holding the engine mutex would deadlock the conformance
-        harness.
+        together. Eligible messages of a larger batch apply in one
+        engine transaction (group commit) when the local engine
+        supports transactions; inside it, interleave events are
+        record-only — the batch is one atomic step, and a suspended
+        scheduler step while holding the engine mutex would deadlock
+        the conformance harness. A batch of one skips all of that and
+        lets an apply error propagate; larger batches contain it.
         """
         done: List[Message] = []
-        retry: List[Message] = []
-        eligible: List[Tuple[Message, str]] = []
-        store = self.service.subscriber_version_store
-        pending_bumps: Dict[str, int] = {}
+        waiting: List[Tuple[Message, Optional[Dict[str, int]]]] = []
+        eligible: List[tuple] = []
+        if len(messages) == 1:
+            self._verify(messages[0], None, done, waiting, eligible)
+            for entry in eligible:  # at most one; an apply error propagates
+                self._apply_one(*entry, False)
+                done.append(entry[0])
+            return BatchOutcome(done, waiting, [], 0)
+        pending: Dict[str, int] = {}
+        for message in sorted(messages, key=lambda m: m.seq):
+            self._verify(message, pending, done, waiting, eligible)
+        if not eligible:
+            return BatchOutcome(done, waiting, [], 0)
+        retry, errors = self._apply_eligible(eligible, done)
+        return BatchOutcome(done, waiting, retry, errors)
 
-        def admit(message: Message, kind: str) -> None:
-            eligible.append((message, kind))
-            if kind != "weak":
-                for dep, amount in message.counter_increments().items():
-                    pending_bumps[dep] = pending_bumps.get(dep, 0) + amount
-
-        def required_of(message: Message, mode: str) -> Dict[str, int]:
+    def _verify(
+        self, message: Message, pending: Optional[Dict[str, int]],
+        done: list, waiting: list, eligible: list,
+    ) -> None:
+        """Sort one message into ``done`` (duplicate, or repair applied),
+        ``waiting`` (with its unmet requirements; None for the
+        generation gate) or ``eligible``. ``pending`` accumulates the
+        counter bumps of earlier eligible batch members."""
+        if self._already_applied(message.uid):
+            self._duplicates.increment()
+            yield_point("dedup.duplicate", message=message)
+            done.append(message)  # redelivered duplicate: safe to ack again
+            return
+        if message.repair:
+            # Anti-entropy repair: never waits (the whole point is to
+            # heal counter deficits that would make waiting eternal) and
+            # bypasses the generation gate, which could itself be
+            # deadlocked behind the very divergence being repaired.
+            with activate_trace(message.trace):
+                self._apply_repair(message)
+            done.append(message)
+            return
+        if not self._generation_ready(message):
+            waiting.append((message, None))
+            return
+        mode = self.app_modes.get(message.app, WEAK)
+        weak = mode == WEAK
+        object_deps = self._object_deps(message)
+        wait = None
+        # Bootstrap forces weak semantics (§3.2): apply without waiting,
+        # but keep full counter accounting so the configured mode
+        # resumes cleanly once in sync.
+        if not weak and not (self.bootstrapping or message.bootstrap):
             required = dict(
-                effective_dependencies(
-                    message.dependencies, mode, set(self._object_deps(message))
-                )
+                effective_dependencies(message.dependencies, mode, set(object_deps))
             )
             required.update(message.external_dependencies)
-            return required
-
-        for message in sorted(messages, key=lambda m: m.seq):
-            if self._already_applied(message.uid):
-                self._duplicates.increment()
-                yield_point("dedup.duplicate", message=message)
-                done.append(message)
-                continue
-            if message.repair:
-                with activate_trace(message.trace):
-                    self._apply_repair(message)
-                done.append(message)
-                continue
-            if not self._generation_ready(message):
-                retry.append(message)
-                continue
-            mode = self.app_modes.get(message.app, WEAK)
-            if (self.bootstrapping or message.bootstrap) and mode != WEAK:
-                admit(message, "bootstrap")
-                continue
-            if mode == WEAK:
-                admit(message, "weak")
-                continue
-            required = required_of(message, mode)
             yield_point("dep.check", message=message, required=required)
-            if all(
-                store.ops(dep) + pending_bumps.get(dep, 0) >= version
-                for dep, version in required.items()
-            ):
-                admit(message, "ordered")
+            check = trace_now()
+            store = self.service.subscriber_version_store
+            if pending:
+                ready = all(
+                    store.ops(dep) + pending.get(dep, 0) >= version
+                    for dep, version in required.items()
+                )
             else:
-                retry.append(message)
+                ready = store.satisfied(required)
+            if not ready:
+                waiting.append((message, required))
+                return
+            # Dependency wait: the time spent parked, else the check.
+            start = check if message.parked_at is None else message.parked_at
+            wait = (start, trace_now() - start)
+        eligible.append((message, weak, object_deps, wait))
+        if pending is not None and not weak:
+            for dep, amount in message.counter_increments().items():
+                pending[dep] = pending.get(dep, 0) + amount
 
-        if not eligible and retry and wait_timeout > 0:
-            # Nothing applicable right now: block on the head retry's
-            # requirements like the single-message path would, instead
-            # of spinning nack/pop rounds that inflate delivery counts
-            # into premature give-ups.
-            first = retry[0]
-            mode = self.app_modes.get(first.app, WEAK)
-            if mode != WEAK:
-                required = required_of(first, mode)
-                wait_start = trace_now()
-                if store.wait_satisfied(required, wait_timeout):
-                    waited = trace_now() - wait_start
-                    self.dep_wait.record(waited)
-                    if first.trace is not None:
-                        first.trace.add(STAGE_DEP_WAIT, wait_start, waited)
-                    retry.pop(0)
-                    admit(first, "ordered")
-
-        if not eligible:
-            return done, retry, 0
-
-        batch = [message for message, _ in eligible]
+    def _apply_eligible(
+        self, eligible: List[tuple], done: List[Message]
+    ) -> Tuple[List[Message], int]:
+        """Apply a larger batch's verified messages in order, appending
+        them to ``done``; returns ``(retry, errors)`` for the ones an
+        apply error kept from landing."""
         db = self.service.database
         use_tx = (
-            len(batch) > 1
+            len(eligible) > 1
             and db is not None
             and getattr(db, "supports_transactions", False)
             and db.current_transaction() is None
         )
-        yield_point("batch.apply", size=len(batch), group_commit=use_tx)
+        yield_point("batch.apply", size=len(eligible), group_commit=use_tx)
         batch_start = trace_now()
         completed: List[Tuple[Message, Dict[str, Any]]] = []
+        retry: List[Message] = []
         errors = 0
-        views = self.service.views
         if use_tx:
+            views = self.service.views
             # Views buffer the whole group commit and fold once after it
             # lands, so each derived aggregate updates — and each cache
             # key invalidates — once per batch, never mid-transaction.
@@ -448,10 +364,8 @@ class SynapseSubscriber:
                 views.begin_batch()
             try:
                 with db.begin():
-                    for message, kind in eligible:
-                        completed.append(
-                            (message, self._apply_in_batch(message, kind))
-                        )
+                    for entry in eligible:
+                        completed.append((entry[0], self._apply_one(*entry, True)))
             except Exception:
                 # The engine rolled back: drop the buffered transitions
                 # before redo re-lands the writes (redo re-enters
@@ -459,49 +373,69 @@ class SynapseSubscriber:
                 if views is not None:
                     views.abort_batch()
                 errors = 1
-                landed = {id(message) for message, _ in completed}
-                retry.extend(m for m in batch if id(m) not in landed)
+                retry = [entry[0] for entry in eligible[len(completed):]]
                 self._redo_after_rollback(completed)
             else:
                 if views is not None:
                     views.commit_batch()
         else:
-            for message, kind in eligible:
+            for index, entry in enumerate(eligible):
                 try:
-                    completed.append(
-                        (message, self._apply_in_batch(message, kind))
-                    )
+                    completed.append((entry[0], self._apply_one(*entry, False)))
                 except Exception:
-                    errors += 1
-                    retry.append(message)
+                    # Later members may depend on this one's bumps.
+                    errors = 1
+                    retry = [later[0] for later in eligible[index:]]
+                    break
         elapsed = trace_now() - batch_start
         for message, _ in completed:
             done.append(message)
             if message.trace is not None:
                 message.trace.add(STAGE_BATCH, batch_start, elapsed)
         yield_point("batch.applied", size=len(completed), retried=len(retry))
-        return done, retry, errors
+        return retry, errors
 
-    def _apply_in_batch(
-        self, message: Message, kind: str
+    def _apply_one(
+        self,
+        message: Message,
+        weak: bool,
+        object_deps: Dict[str, Dict[str, Any]],
+        wait: Optional[Tuple[float, float]],
+        record_only: bool,
     ) -> Dict[str, Dict[str, Any]]:
-        """Apply one eligible message inside the batch (record-only
-        events: the group-commit transaction may hold the engine
-        mutex). Counter bumps interleave per message, so in-batch
-        dependents see their deps land before their own apply event.
+        """Apply one verified message. ``record_only`` (inside the group
+        commit) downgrades its interleave events to observe-only.
         Returns {hashed object dep: operation} for the engine writes
         that actually ran — the redo set for rollback recovery."""
-        store = self.service.subscriber_version_store
-        object_deps = self._object_deps(message)
+        if message.trace is None:
+            return self._apply_verified(message, weak, object_deps, wait, record_only)
+        # Traced message: make the trace the thread's current trace so an
+        # over-threshold histogram observation anywhere in the apply path
+        # captures this message's uid as its exemplar.
         with activate_trace(message.trace):
-            if kind == "weak":
-                applied = self._apply_weak(message, object_deps, record_only=True)
-                self._finish(message, record_only=True)
-                return {hashed: object_deps[hashed] for hashed in applied}
-            self._apply_timed(message, record_only=True)
-            store.apply_counts(message.counter_increments(), record_only=True)
-            self._finish(message, record_only=True)
-            return object_deps
+            return self._apply_verified(message, weak, object_deps, wait, record_only)
+
+    def _apply_verified(
+        self,
+        message: Message,
+        weak: bool,
+        object_deps: Dict[str, Dict[str, Any]],
+        wait: Optional[Tuple[float, float]],
+        record_only: bool,
+    ) -> Dict[str, Dict[str, Any]]:
+        if weak:
+            applied = self._apply_weak(message, object_deps, record_only)
+            self._finish(message, record_only)
+            return {hashed: object_deps[hashed] for hashed in applied}
+        if wait is not None:
+            start, waited = wait
+            self.dep_wait.record(waited)
+            if message.trace is not None:
+                message.trace.add(STAGE_DEP_WAIT, start, waited)
+        self._apply_timed(message, record_only)
+        # Increment every own-app dependency; externals are never bumped.
+        self._finish(message, record_only, message.counter_increments())
+        return object_deps
 
     def _redo_after_rollback(
         self, completed: List[Tuple[Message, Dict[str, Dict[str, Any]]]]
@@ -562,13 +496,25 @@ class SynapseSubscriber:
         if message.trace is not None:
             message.trace.add(STAGE_APPLY, start, elapsed)
 
-    def _finish(self, message: Message, record_only: bool = False) -> None:
-        """Common bookkeeping once a message has been applied."""
+    def _finish(
+        self,
+        message: Message,
+        record_only: bool = False,
+        counts: Optional[Dict[str, int]] = None,
+    ) -> None:
+        """Common bookkeeping once a message has been applied, bumping
+        ``counts`` after the WAL ``apply`` record: a causal successor
+        can only apply once the bump lands, so the WAL keeps applies in
+        dependency order and replay re-lands them in that order."""
         self._mark_applied(message.uid)
         self._processed.increment()
         durability = getattr(self.service.ecosystem, "durability", None)
         if durability is not None:
             durability.log_apply(self.service.name, message)
+        if counts:
+            self.service.subscriber_version_store.apply_counts(
+                counts, record_only=record_only
+            )
         emit = observe_point if record_only else yield_point
         emit("msg.finished", message=message)
         monitor = getattr(self.service.ecosystem, "monitor", None)
@@ -613,10 +559,7 @@ class SynapseSubscriber:
             return
         with activate_trace(message.trace):
             self._apply_timed(message)
-            self.service.subscriber_version_store.apply_counts(
-                message.counter_increments()
-            )
-            self._finish(message)
+            self._finish(message, counts=message.counter_increments())
 
     def _already_applied(self, uid: str) -> bool:
         with self._applied_lock:
@@ -848,3 +791,96 @@ class SynapseSubscriber:
         elif kind == "delete":
             run_callbacks(instance, "before_destroy")
             run_callbacks(instance, "after_destroy")
+
+
+class Dispatcher:
+    """The subscriber's one pop → verify → apply → settle step, run by
+    :meth:`SynapseSubscriber.drain`, every ``SubscriberWorkerPool``
+    thread and the conformance harness's virtual workers.
+
+    Each popped message is acked (applied or duplicate), parked
+    (dependencies unmet: it stays an unacked delivery in the version
+    store's readiness index until the bump that meets them nacks it to
+    the queue front), deferred (the §4.4 generation gate), nacked (apply
+    error) or given up (§6.5): a waiting message at ``give_up_age``
+    since first delivery (0 ≡ weak, ∞ ≡ causal), an erroring one at
+    ``max_deliveries``. ``give_up(message)`` settles those (default:
+    drop). ``clock`` measures age — ``time.monotonic`` in worker pools,
+    the scheduler's step count in the harness (replays stay identical).
+    """
+
+    def __init__(
+        self,
+        subscriber: SynapseSubscriber,
+        clock: Callable[[], float] = time.monotonic,
+        give_up_age: float = math.inf,
+        max_deliveries: float = math.inf,
+        give_up: Optional[Callable[[Message], None]] = None,
+    ) -> None:
+        self.subscriber = subscriber
+        self.clock = clock
+        self.give_up_age = give_up_age
+        self.max_deliveries = max_deliveries
+        self.give_up = give_up or (lambda message: subscriber.queue.ack(message))
+
+    def step(
+        self, batch_max: int = 1, timeout: float = 0.0, abandon: bool = False
+    ) -> StepResult:
+        """Pop up to ``batch_max`` messages (blocking up to ``timeout``
+        for the first), run them through ``process_batch`` and settle
+        each. ``abandon`` simulates a worker crash after the apply: the
+        popped deliveries are left unacked (conformance crash
+        recovery)."""
+        subscriber = self.subscriber
+        queue = subscriber.queue
+        store = subscriber.service.subscriber_version_store
+        if self.give_up_age != math.inf:
+            for message in store.expire(self.clock() - self.give_up_age):
+                self.give_up(message)
+        batch = queue.pop_many(batch_max, timeout)
+        if not batch:
+            store.run_released()  # collected outside a step, or by an abandoned one
+            return _IDLE
+        now = self.clock()
+        for message in batch:
+            if message.first_delivered is None:
+                message.first_delivered = now
+        try:
+            outcome = subscriber.process_batch(batch)
+        except Exception:
+            # A batch of one propagates its apply error; a fault while
+            # verifying a larger batch lands here too.
+            outcome = BatchOutcome([], [], list(batch), 1)
+        if abandon:
+            return StepResult(batch)
+        for message in outcome.done:
+            queue.ack(message)
+        parked = 0
+        for message, required in outcome.waiting:
+            if now - message.first_delivered >= self.give_up_age:
+                self.give_up(message)
+            elif required is None:
+                queue.defer(message)
+            else:
+                if message.parked_at is None:
+                    message.parked_at = trace_now()
+                since = message.first_delivered if self.give_up_age != math.inf else None
+                if store.park(
+                    message, required, functools.partial(queue.nack, message), since
+                ):
+                    parked += 1
+                else:
+                    queue.nack(message)  # the counters caught up meanwhile
+        for message in outcome.retry:
+            if message.delivery_count >= self.max_deliveries:
+                self.give_up(message)
+            else:
+                queue.nack(message)
+        # Releases collected by record-only bumps (group commit, weak
+        # and repair fast-forwards) run here, outside every lock.
+        store.run_released()
+        if queue.flow is not None:
+            queue.flow.batch_size.record(len(batch))
+        return StepResult(
+            batch, len(outcome.done), parked, len(outcome.retry), outcome.errors
+        )

@@ -87,8 +87,9 @@ class RelationalDatabase(Database):
 
     # ----------------------------------------------------------------- DML
 
-    def insert(self, table: str, values: Row, returning: bool = False) -> Optional[Row]:
-        """INSERT one row; with ``returning`` echo the written row back."""
+    def insert(self, table: str, values: Row, returning: bool = False) -> Any:
+        """INSERT one row; with ``returning`` echo the written row back,
+        else return its primary key (this call's ``lastrowid``)."""
         self._check_returning(returning)
         with self._lock:
             self._charge_write()
@@ -100,7 +101,7 @@ class RelationalDatabase(Database):
             if txn is not None:
                 txn.record_insert(table, written[PRIMARY_KEY])
                 txn.written.append({"table": table, "op": "insert", "row": dict(written)})
-            return dict(written) if returning else None
+            return dict(written) if returning else written[PRIMARY_KEY]
 
     def select(
         self,

@@ -13,7 +13,7 @@ that orders the transition, so WAL order equals effect order:
 ``coal``   flow control merged a publish into a queued survivor
            (post-merge survivor payload — idempotent replace)
 ``shed``   flow control shed a weak publish (post-state deficit ledger)
-``defer``  a worker rotated a dependency-stalled delivery to the back
+``defer``  the §4.4 generation gate rotated a delivery to the back
 ``ack``    a delivery completed
 ``decom``  the queue hit its §4.4 kill cliff / ``recom`` recommission
 ``apply``  a subscriber finished applying a message
@@ -228,11 +228,12 @@ class DurabilityManager:
             )
 
     def log_defer(self, queue_name: str, message: Message) -> None:
-        """A worker rotated a dependency-stalled delivery to the back of
-        the queue. Without this record restore rebuilds the queue in
-        original publish order, resurrecting the exact chain-head-buried
-        ordering the rotation had already fixed — the restored workers
-        would have to rediscover every defer before draining."""
+        """The §4.4 generation gate rotated a delivery to the back of the
+        queue (its only writer: dependency stalls park instead, as
+        unacked deliveries that need no record). Without this record
+        restore rebuilds the queue in original publish order, undoing
+        the rotation. WALs from before parking also carry defers of
+        dependency-stalled deliveries; they replay the same way."""
         if self._restoring:
             return
         self._append({"t": "defer", "q": queue_name, "uid": message.uid})
@@ -721,8 +722,8 @@ class DurabilityManager:
 
     def _replay_apply(self, service: Any, message: Message) -> None:
         """Re-run one subscriber apply from its log record, mirroring
-        ``SynapseSubscriber._process`` minus gating — raw engine writes
-        plus the exact counter arithmetic of each delivery class."""
+        ``SynapseSubscriber.process_batch`` minus gating — raw engine
+        writes plus the exact counter arithmetic of each delivery class."""
         sub = service.subscriber
         store = service.subscriber_version_store
         object_deps = sub._object_deps(message)

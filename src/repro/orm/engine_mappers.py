@@ -63,14 +63,11 @@ class RelationalMapper(Mapper):
     def _do_insert(self, attrs: Row) -> Row:
         if self.db.supports_returning:
             return self.db.insert(self.table, attrs, returning=True)
-        # MySQL-like path: INSERT, then an additional read query (§4.1).
-        self.db.insert(self.table, attrs)
-        rows = self.db.select(
-            self.table, order_by=("id", "desc"), limit=1
-        )
-        if attrs.get("id") is not None:
-            return self.db.get(self.table, attrs["id"])
-        return rows[0]
+        # MySQL-like path: INSERT, then an additional read query (§4.1)
+        # by the id this very insert generated — never "the newest row",
+        # which a concurrent insert may own.
+        row_id = self.db.insert(self.table, attrs)
+        return self.db.get(self.table, row_id)
 
     def _do_update(self, row_id: Any, attrs: Row) -> Row:
         where = where_from_dict({"id": row_id})

@@ -25,6 +25,7 @@ from repro.runtime.conformance.checker import (
     INV_IDLE,
     INV_LEAK,
     INV_MONOTONE,
+    INV_PARK,
     INV_POP,
     INV_VIEW,
     INV_WEAK,
@@ -68,6 +69,7 @@ __all__ = [
     "INV_IDLE",
     "INV_LEAK",
     "INV_MONOTONE",
+    "INV_PARK",
     "INV_POP",
     "INV_QUIESCENCE",
     "INV_VIEW",

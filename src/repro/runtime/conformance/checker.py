@@ -32,6 +32,8 @@ Invariant identifiers (stable, used by tests and the CLI):
   the caller's timeout as a whole-call deadline.
 - ``drain.no-leaked-deliveries`` — ``drain`` returns popped-but-pending
   messages when the queue is decommissioned mid-round.
+- ``dispatch.parked-give-up`` — a message parked on a lost dependency
+  is reported by ``stuck_dependencies`` and gives up exactly at its age.
 - ``flow.admission-safety`` — graduated backpressure only sheds
   weak-mode publishes (causal/global messages carry dependency bumps
   downstream messages wait on; shedding one wedges the stream), and
@@ -65,6 +67,7 @@ INV_DURABLE = "durability.restore-equivalence"
 INV_VIEW = "views.read-freshness"
 INV_CDC = "cdc.outbox-delivery"
 INV_SAGA = "saga.inventory-balance"
+INV_PARK = "dispatch.parked-give-up"
 
 
 @dataclass

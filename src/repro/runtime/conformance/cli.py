@@ -86,7 +86,7 @@ def conformance_command(args: List[str]) -> int:
 
     print(
         "directed scenarios (pop deadline, fleet deadline, drain leak, "
-        "unsafe coalesce, durability crash points):"
+        "parked give-up, unsafe coalesce, durability crash points):"
     )
     for name, violations in run_directed_scenarios().items():
         if violations:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.delivery import CAUSAL, GLOBAL, WEAK, validate_mode
+from repro.core.subscriber import Dispatcher
 from repro.errors import QueueDecommissioned
 from repro.runtime.conformance.checker import (
     INV_DURABLE,
@@ -47,7 +48,9 @@ class ScheduleConfig:
     seed: int = 0
     workers: int = 3
     messages: int = 10
-    max_deliveries: int = 12
+    #: §6.5 give-up age of a waiting message, in scheduler steps since
+    #: its first delivery (the timeout on the harness's clock).
+    give_up_age: int = 300
     #: Crash one worker mid-message and run a recovery worker that
     #: calls ``requeue_unacked`` (at-least-once + dedup coverage).
     crash_recovery: bool = False
@@ -435,93 +438,49 @@ class ConformanceHarness:
         return unacked <= self.crashed_uids
 
     def _subscriber_loop(self, wid: str, abandon_after: Optional[int] = None) -> None:
+        """A virtual worker running the production dispatch step on the
+        scheduler's clock; a crash worker pops batches of one so it
+        abandons one precise in-flight delivery."""
+        batch_max = 1
         if self.config.flow and abandon_after is None:
-            # Flow schedules drain through pop_many/process_batch;
-            # crash workers keep the single-message path (they must
-            # abandon one precise in-flight delivery).
-            self._subscriber_loop_batched(wid)
-            return
-        subscriber = self.sub.subscriber
-        queue = subscriber.queue
+            batch_max = self.eco.flow.config.batch_max
+
+        def give_up(message: Any) -> None:
+            # §6.5 give-up: a dependency that will never arrive (dropped
+            # message) must not wedge the worker forever.
+            observe_point("worker.gave_up", worker=wid, message=message)
+            self.sub.subscriber.queue.ack(message)
+
+        dispatcher = Dispatcher(
+            self.sub.subscriber,
+            clock=lambda: self.scheduler.steps,
+            give_up_age=self.config.give_up_age,
+            give_up=give_up,
+        )
         handled = 0
         while True:
             try:
                 yield_point("worker.tick", worker=wid)
-                try:
-                    message = queue.pop(timeout=0.0)
-                except QueueDecommissioned:
-                    observe_point("worker.decommissioned", worker=wid)
-                    return
-                if message is None:
+                abandon = abandon_after is not None and handled + 1 >= abandon_after
+                step = dispatcher.step(batch_max, abandon=abandon)
+                if not step.popped:
                     if self._drained():
                         observe_point("worker.drained", worker=wid)
                         return
                     continue
-                done = subscriber.process_message(message, wait_timeout=0.0)
-                handled += 1
-                if abandon_after is not None and handled >= abandon_after:
+                handled += len(step.popped)
+                if abandon:
                     # Simulated worker crash: exit without ack/nack; the
                     # delivery stays in the unacked table until recovery
                     # calls requeue_unacked().
-                    self.crashed_uids.add(message.uid)
-                    observe_point("worker.crashed", worker=wid, message=message)
+                    for message in step.popped:
+                        self.crashed_uids.add(message.uid)
+                        observe_point("worker.crashed", worker=wid, message=message)
                     return
-                if done:
-                    queue.ack(message)
-                elif message.delivery_count >= self.config.max_deliveries:
-                    # §6.5 give-up semantics: a dependency that will
-                    # never arrive (dropped message) must not wedge the
-                    # worker forever.
-                    observe_point("worker.gave_up", worker=wid, message=message)
-                    queue.ack(message)
-                else:
-                    queue.nack(message)
             except QueueDecommissioned:
-                # Ack/nack of a delivery the decommission cleared: the
-                # fixed queue tolerates the ack; a decommission raised
-                # from a nested pop path lands here and the worker exits
-                # cleanly instead of dying silently.
-                observe_point("worker.decommissioned", worker=wid)
-                return
-            except Exception as exc:  # noqa: BLE001 — the invariant itself
-                self.checker.violation(
-                    INV_WORKER,
-                    f"worker {wid} died on unexpected {type(exc).__name__}: {exc}",
-                )
-                return
-
-    def _subscriber_loop_batched(self, wid: str) -> None:
-        """The flow-control drain loop: ``pop_many`` batches verified
-        and applied through ``process_batch`` (group commit), with the
-        same give-up and decommission semantics as the single path."""
-        subscriber = self.sub.subscriber
-        queue = subscriber.queue
-        batch_max = self.eco.flow.config.batch_max
-        while True:
-            try:
-                yield_point("worker.tick", worker=wid)
-                try:
-                    batch = queue.pop_many(batch_max, timeout=0.0)
-                except QueueDecommissioned:
-                    observe_point("worker.decommissioned", worker=wid)
-                    return
-                if not batch:
-                    if self._drained():
-                        observe_point("worker.drained", worker=wid)
-                        return
-                    continue
-                done, retry, _errors = subscriber.process_batch(
-                    batch, wait_timeout=0.0
-                )
-                for message in done:
-                    queue.ack(message)
-                for message in retry:
-                    if message.delivery_count >= self.config.max_deliveries:
-                        observe_point("worker.gave_up", worker=wid, message=message)
-                        queue.ack(message)
-                    else:
-                        queue.nack(message)
-            except QueueDecommissioned:
+                # Decommission surfaced by a pop, or by an ack/nack of a
+                # delivery it cleared (the fixed queue tolerates those):
+                # the worker exits cleanly instead of dying silently.
                 observe_point("worker.decommissioned", worker=wid)
                 return
             except Exception as exc:  # noqa: BLE001 — the invariant itself

@@ -30,6 +30,11 @@ reports checker violations under the same stable invariant names:
   uncatchable version — a child process SIGKILLs *itself* mid-append
   via a hard crash injector, and the parent restores from the orphaned
   WAL and audits the replicas back to digest-equality.
+- :func:`parked_give_up_scenario` (``dispatch.parked-give-up``): a
+  causal chain whose head a broker fault dropped parks its whole tail;
+  ``stuck_dependencies`` must name the dropped head while it waits, and
+  every parked message must give up exactly at its age on the caller's
+  clock — identically on a second run.
 - :func:`cdc_poll_crash_scenario` / :func:`cdc_kill_restart_scenario`
   (``cdc.outbox-delivery``): crash the CDC poller mid-tail — before or
   after its cursor checkpoint, softly or by genuine SIGKILL — and
@@ -58,6 +63,7 @@ from repro.runtime.conformance.checker import (
     INV_FLOW,
     INV_IDLE,
     INV_LEAK,
+    INV_PARK,
     INV_POP,
     Violation,
 )
@@ -327,6 +333,92 @@ def drain_leak_scenario(queue_limit: int = 4) -> List[Violation]:
             )
         )
     return violations
+
+
+# -- dispatch.parked-give-up -------------------------------------------------
+
+def _parked_give_up_run(chain: int, give_up_age: int) -> Tuple[List[str], List[Tuple[int, int]]]:
+    """One run: publish a ``chain``-long causal chain with its head
+    dropped, park the tail, then tick the clock to the give-ups.
+    Returns (problems, [(tick, chain position)] of every give-up)."""
+    from repro.core import Ecosystem
+    from repro.core.dependencies import dep_name
+    from repro.core.subscriber import Dispatcher
+    from repro.databases.document import MongoLike
+    from repro.databases.relational import PostgresLike
+    from repro.orm import Field, Model
+
+    eco = Ecosystem()
+    pub = eco.service("pub", database=MongoLike("pub-db"), delivery_mode="causal")
+
+    @pub.model(publish=["value"], name="Doc")
+    class PubDoc(Model):
+        value = Field(int, default=0)
+
+    sub = eco.service("sub", database=PostgresLike("sub-db"))
+
+    @sub.model(
+        subscribe={"from": "pub", "fields": ["value"], "mode": "causal"},
+        name="Doc",
+    )
+    class SubDoc(Model):
+        value = Field(int, default=0)
+
+    eco.broker.drop_next(1)  # the chain head is lost in transit (§6.5)
+    with pub.controller():
+        doc = PubDoc.create(value=0)
+        for value in range(1, chain):
+            doc.value = value
+            doc.save()
+    head = eco.hasher.hash(dep_name("pub", "docs", doc.id))
+    tick = [0]
+    gave_up: List[Tuple[int, int]] = []
+    subscriber = sub.subscriber
+    queue = subscriber.queue
+    tail = {message.uid: i for i, message in enumerate(queue.peek_all(), 1)}
+
+    def give_up(message: Message) -> None:
+        gave_up.append((tick[0], tail[message.uid]))
+        queue.ack(message)
+
+    dispatcher = Dispatcher(
+        subscriber, clock=lambda: tick[0], give_up_age=give_up_age,
+        give_up=give_up,
+    )
+    problems: List[str] = []
+    while dispatcher.step().popped:
+        tick[0] += 1
+    parked = len(subscriber.service.subscriber_version_store.parked())
+    if parked != chain - 1:
+        problems.append(f"{parked} of {chain - 1} tail messages parked")
+    stuck = subscriber.stuck_dependencies()
+    if stuck.get(head, (0, 1))[1] != 0:
+        problems.append(
+            f"stuck_dependencies {stuck!r} does not name the dropped head "
+            f"{head!r} at counter 0"
+        )
+    while tick[0] < 4 * give_up_age and (len(queue) or queue.unacked_count):
+        dispatcher.step()
+        tick[0] += 1
+    if len(gave_up) != chain - 1:
+        problems.append(f"{len(gave_up)} of {chain - 1} parked messages gave up")
+    early = [entry for entry in gave_up if entry[0] < give_up_age]
+    if early:
+        problems.append(f"gave up before the {give_up_age}-tick age: {early}")
+    if SubDoc.__mapper__.find(doc.id) is not None:
+        problems.append("a dropped-chain message was applied out of order")
+    return problems, gave_up
+
+
+def parked_give_up_scenario(chain: int = 4, give_up_age: int = 20) -> List[Violation]:
+    """A causal chain published with its head dropped: the parked tail
+    must be diagnosable (``stuck_dependencies`` names the head) and must
+    give up deterministically at its age on the step clock."""
+    problems, first = _parked_give_up_run(chain, give_up_age)
+    _, second = _parked_give_up_run(chain, give_up_age)
+    if first != second:
+        problems.append(f"give-ups differ between runs: {first} vs {second}")
+    return [Violation(INV_PARK, problem) for problem in problems]
 
 
 # -- flow.admission-safety ---------------------------------------------------
@@ -956,6 +1048,7 @@ def run_directed_scenarios() -> Dict[str, List[Violation]]:
         "queue.pop-deadline": pop_deadline_scenario(),
         "fleet.idle-deadline": fleet_idle_deadline_scenario(),
         "drain.no-leaked-deliveries": drain_leak_scenario(),
+        "dispatch.parked-give-up": parked_give_up_scenario(),
         "flow.unsafe-coalesce-rejected": flow_coalesce_safety_scenario(),
         "durability.crash-after-append":
             durability_crash_point_scenario("after-append"),

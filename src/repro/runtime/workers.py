@@ -1,10 +1,13 @@
 """Threaded subscriber worker pools.
 
 "Messages in the queue are processed in parallel by multiple subscriber
-workers per application" (§4). Each worker pops a message, waits (up to
-a timeout) for its dependencies, applies it and acks. A message that
-exceeds the retry budget triggers the deadlock callback — production
-Synapse rebootstraps the subscriber at that point (§6.5).
+workers per application" (§4). Each worker runs the subscriber's
+dispatch step (:class:`~repro.core.subscriber.Dispatcher`): pop, verify,
+apply and ack. A message whose dependencies are unmet parks without
+blocking the worker, and is released by the counter bump that meets
+them. One still waiting at the give-up age (§6.5's timeout) is dropped
+or weak-applied and triggers the deadlock callback — production Synapse
+rebootstraps the subscriber at that point.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import threading
 import time
 from typing import Any, Callable, List, Optional
 
+from repro.core.subscriber import Dispatcher
 from repro.errors import QueueDecommissioned
 from repro.runtime.metrics import Counter
 
@@ -97,7 +101,7 @@ class SubscriberWorkerPool:
         self,
         service: Any,
         workers: int = 4,
-        wait_timeout: float = 0.2,
+        give_up_age: float = 4.0,
         max_deliveries: int = 20,
         on_deadlock: Optional[Callable[[Any], None]] = None,
         give_up_action: str = "drop",
@@ -106,21 +110,24 @@ class SubscriberWorkerPool:
             raise ValueError("give_up_action must be 'drop' or 'apply'")
         self.service = service
         self.workers = workers
-        self.wait_timeout = wait_timeout
-        self.max_deliveries = max_deliveries
         self.on_deadlock = on_deadlock
         #: What to do with a message whose dependencies never arrive:
         #: "drop" it, or "apply" it with weak semantics (§6.5's
-        #: configurable give-up timeout).
+        #: configurable give-up timeout, ``give_up_age`` seconds since
+        #: first delivery; ``max_deliveries`` bounds apply-error retries).
         self.give_up_action = give_up_action
+        self._dispatcher = Dispatcher(
+            service.subscriber,
+            give_up_age=give_up_age,
+            max_deliveries=max_deliveries,
+            give_up=self._give_up,
+        )
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
-        self._active = 0
-        self._active_lock = threading.Lock()
-        # Event-based idle signaling: workers notify after every message
-        # completion (replacing the old 5 ms busy-poll in
+        # Event-based idle signaling: workers notify after every step
+        # that popped something (replacing the old 5 ms busy-poll in
         # :meth:`wait_until_idle`).
-        self._idle = threading.Condition(self._active_lock)
+        self._idle = threading.Condition()
         # Local counters keep per-pool semantics (a fresh pool starts at
         # zero); the ecosystem registry accumulates across pools.
         self._deadlocked = Counter()
@@ -130,8 +137,8 @@ class SubscriberWorkerPool:
         self._reg_apply_errors = registry.counter(f"workers.{service.name}.apply_errors")
         self._recorder = getattr(service.ecosystem, "recorder", None)
         # Flow control: when the ecosystem has batched apply enabled the
-        # workers switch to the pop_many/process_batch loop, sharing one
-        # AIMD batch sizer across the pool.
+        # workers pop up to the AIMD batch size (group-committed by
+        # process_batch), sharing one sizer across the pool.
         controller = getattr(service.ecosystem, "flow", None)
         if controller is not None and controller.config.batch_apply:
             from repro.runtime.flow import BatchSizer
@@ -180,149 +187,46 @@ class SubscriberWorkerPool:
     # -- main loop ---------------------------------------------------------------
 
     def _run(self) -> None:
-        subscriber = self.service.subscriber
-        queue = subscriber.queue
-        if queue is None:
+        if self.service.subscriber.queue is None:
             return
-        if self._flow is not None:
-            self._run_batched(subscriber, queue)
-            return
-        while not self._stop.is_set():
-            try:
-                message = queue.pop(timeout=0.05)
-            except QueueDecommissioned:
-                self._record_anomaly("queue.decommissioned")
-                if self.on_deadlock is not None:
-                    self.on_deadlock(self.service)
-                return
-            if message is None:
-                continue
-            with self._active_lock:
-                self._active += 1
-            try:
-                errored = False
-                try:
-                    # First delivery probes without blocking: when the
-                    # queue holds out-of-order messages, burning the
-                    # full dependency wait on each one serialises
-                    # chain-head discovery at wait_timeout per pop
-                    # (with every worker parked, nothing progresses at
-                    # all). A fast defer scans the queue in one cheap
-                    # rotation instead; redeliveries block as before so
-                    # an in-flight predecessor still satisfies us
-                    # without another round trip through the queue.
-                    first = message.delivery_count <= 1
-                    done = subscriber.process_message(
-                        message, wait_timeout=0.0 if first else self.wait_timeout
-                    )
-                except Exception:
-                    # A transient engine fault (or poisonous payload) must
-                    # not kill the worker: nack and let redelivery retry.
-                    self._apply_errors.increment()
-                    self._reg_apply_errors.increment()
-                    done = False
-                    errored = True
-                try:
-                    if done:
-                        queue.ack(message)
-                    elif message.delivery_count >= self.max_deliveries:
-                        self._give_up(subscriber, queue, message)
-                    elif errored:
-                        queue.nack(message)
-                    else:
-                        # Dependency stall: the predecessor is behind
-                        # this message in the queue, so rotate to the
-                        # back (nacking to the front would re-pop the
-                        # same message while the predecessor starves).
-                        queue.defer(message)
-                except QueueDecommissioned:
-                    # The queue died while this delivery was in flight
-                    # (its ack/nack is a tolerated no-op). Route the
-                    # decommission like the pop path does instead of
-                    # letting the exception kill the worker silently.
-                    self._record_anomaly("queue.decommissioned")
-                    if self.on_deadlock is not None:
-                        self.on_deadlock(self.service)
-                    return
-            finally:
-                with self._idle:
-                    self._active -= 1
-                    self._idle.notify_all()
-
-    def _run_batched(self, subscriber: Any, queue: Any) -> None:
-        """Flow-control loop: drain up to the AIMD batch size in one
-        lock round-trip, verify/apply via ``process_batch`` (group
-        commit), then feed the outcome — and, periodically, the
-        LagMonitor's link pressure — back into the sizer."""
         sizer = self._sizer
-        flow = queue.flow
         monitor = getattr(self.service.ecosystem, "monitor", None)
         while not self._stop.is_set():
             try:
-                batch = queue.pop_many(sizer.current, timeout=0.05)
+                step = self._dispatcher.step(
+                    sizer.current if sizer is not None else 1, timeout=0.05
+                )
             except QueueDecommissioned:
                 self._record_anomaly("queue.decommissioned")
                 if self.on_deadlock is not None:
                     self.on_deadlock(self.service)
                 return
-            if not batch:
+            if not step.popped:
                 continue
-            with self._active_lock:
-                self._active += 1
-            try:
-                errors = 0
-                try:
-                    done, retry, errors = subscriber.process_batch(
-                        batch, wait_timeout=self.wait_timeout
-                    )
-                except Exception:
-                    # process_batch contains apply errors itself; this
-                    # guards the verification phase. Nack everything.
-                    done, retry, errors = [], list(batch), 1
-                if errors:
-                    self._apply_errors.increment(errors)
-                    self._reg_apply_errors.increment(errors)
-                try:
-                    # A batch that applied nothing and raised nothing
-                    # stalled purely on dependency waits: its missing
-                    # predecessors are behind it in the queue. Rotate
-                    # such batches to the back (defer) so the chain
-                    # head surfaces; partially-applied batches made
-                    # progress and retry at the front as before.
-                    stalled = not done and not errors and retry
-                    for message in done:
-                        queue.ack(message)
-                    for message in retry:
-                        if message.delivery_count >= self.max_deliveries:
-                            self._give_up(subscriber, queue, message)
-                        elif stalled:
-                            queue.defer(message)
-                        else:
-                            queue.nack(message)
-                except QueueDecommissioned:
-                    self._record_anomaly("queue.decommissioned")
-                    if self.on_deadlock is not None:
-                        self.on_deadlock(self.service)
-                    return
-                if flow is not None:
-                    flow.batch_size.record(len(batch))
+            if step.errors:
+                # A transient engine fault (or poisonous payload) must
+                # not kill the worker: the step nacked it for redelivery.
+                self._apply_errors.increment(step.errors)
+                self._reg_apply_errors.increment(step.errors)
+            if sizer is not None:
                 sizer.on_batch(
-                    popped=len(batch), applied=len(done), failed=len(retry) + errors
+                    popped=len(step.popped),
+                    applied=step.applied,
+                    failed=step.retried + step.errors,
                 )
                 if self._batches.increment() % 32 == 0 and monitor is not None:
                     sizer.observe_pressure(
                         monitor.link_pressure(self.service.name)
                     )
-            finally:
-                with self._idle:
-                    self._active -= 1
-                    self._idle.notify_all()
+            with self._idle:
+                self._idle.notify_all()
 
-    def _give_up(self, subscriber: Any, queue: Any, message: Any) -> None:
+    def _give_up(self, message: Any) -> None:
         """Give-up timeout reached (§6.5): drop or weak-apply, then ack."""
+        subscriber = self.service.subscriber
         if self.give_up_action == "apply":
             subscriber.force_apply(message)
-        queue.ack(message)
+        subscriber.queue.ack(message)
         self._deadlocked.increment()
         self._reg_deadlocked.increment()
         self._record_anomaly(
@@ -344,12 +248,13 @@ class SubscriberWorkerPool:
     # -- synchronisation -----------------------------------------------------------
 
     def wait_until_idle(self, timeout: float = 10.0) -> bool:
-        """Block until the queue is drained and no worker is mid-message.
+        """Block until the queue is drained and nothing is in flight —
+        parked messages are unacked deliveries, so they count.
 
-        Event-driven: workers notify the condition after every message
-        completion; the short bounded wait is only a safety net against
-        transitions with no notifier (e.g. an external publish while the
-        pool is idle).
+        Event-driven: workers notify the condition after every step that
+        popped something; the short bounded wait is only a safety net
+        against transitions with no notifier (e.g. an external publish
+        while the pool is idle).
         """
         queue = self.service.subscriber.queue
         deadline = time.monotonic() + timeout
@@ -359,7 +264,7 @@ class SubscriberWorkerPool:
 
         with self._idle:
             while True:
-                if self._active == 0 and drained():
+                if drained():
                     return True
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:

@@ -19,9 +19,11 @@ ablation the paper points out.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.databases.kv import RedisLike
 from repro.runtime.interleave import observe_point, yield_point
@@ -198,9 +200,7 @@ class PublisherVersionStore:
         return out
 
     def watermark(self) -> int:
-        """Total operations registered across every dependency — the
-        publisher-side high-water mark an auditor compares against the
-        subscriber's :meth:`SubscriberVersionStore.watermark`."""
+        """Total operations registered across every dependency."""
         return sum(self.snapshot().values())
 
     def flush(self) -> None:
@@ -208,18 +208,29 @@ class PublisherVersionStore:
 
 
 class SubscriberVersionStore:
-    """The subscriber's single-counter store."""
+    """The subscriber's single-counter store, plus the readiness index
+    that parks messages until the counters reach their versions."""
 
     def __init__(
         self, kv: ShardedKV, metrics: Optional[Any] = None, owner: str = ""
     ) -> None:
         self.kv = kv
-        self._waiters = threading.Condition()
         self._applied = (
             metrics.counter(f"versionstore.{owner or 'subscriber'}.applied")
             if metrics is not None
             else None
         )
+        # Readiness index (§4.2's "wait until the version store reaches
+        # the message's versions", as an event): hashed dep -> heap of
+        # [ops needed, tie, key, on_ready]; ``_parked`` maps each key to
+        # its live entry (stale heap entries are skipped), ``_ages``
+        # orders keys by ``since`` for give-up.
+        self._index_lock = threading.Lock()
+        self._index: Dict[str, list] = {}
+        self._parked: Dict[Any, list] = {}
+        self._ages: list = []
+        self._released: List[Callable[[], None]] = []
+        self._tie = itertools.count()
 
     @staticmethod
     def _key(hashed_dep: str) -> str:
@@ -236,10 +247,6 @@ class SubscriberVersionStore:
                 out[key[len("s:"):]] = shard.hget(key, "ops") or 0
         return out
 
-    def watermark(self) -> int:
-        """Total dependency increments seen by this subscriber."""
-        return sum(self.snapshot().values())
-
     def deficits(self, publisher_snapshot: Dict[str, int]) -> Dict[str, int]:
         """Per-dependency counter deficits vs a publisher snapshot:
         only the dependencies this store is strictly behind on."""
@@ -249,24 +256,6 @@ class SubscriberVersionStore:
             if behind > 0:
                 out[hashed_dep] = behind
         return out
-
-    def lag_behind(
-        self,
-        publisher_snapshot: Dict[str, int],
-        forgive: Optional[Dict[str, int]] = None,
-    ) -> int:
-        """Sum of per-dependency counter deficits vs a publisher
-        snapshot: how many operation increments this store has not seen.
-        Zero means every dependency is at (or past) the publisher's
-        watermark; a persistent positive value with an empty queue is
-        the §6.5 loss signature. ``forgive`` subtracts per-key deficits
-        that are known to be deliberate — flow-control shedding tracked
-        by ``QueueFlow.reconcile_shed`` — so backpressure does not read
-        as loss."""
-        return sum(
-            max(0, behind - (forgive.get(dep, 0) if forgive else 0))
-            for dep, behind in self.deficits(publisher_snapshot).items()
-        )
 
     def satisfied(self, dependencies: Dict[str, int]) -> bool:
         return all(self.ops(dep) >= version for dep, version in dependencies.items())
@@ -293,7 +282,9 @@ class SubscriberVersionStore:
         bumps per message inside the group-commit transaction —
         ``record_only=True`` downgrades the interleave events to
         observe-only because the caller holds the engine mutex there
-        (a suspended scheduler step would deadlock the harness).
+        (a suspended scheduler step would deadlock the harness). For the
+        same reason a record-only bump only collects the parked keys it
+        releases; the dispatch step runs them after the apply.
         """
         emit = observe_point if record_only else yield_point
         for dep, amount in counts.items():
@@ -313,8 +304,10 @@ class SubscriberVersionStore:
 
             value = self.kv.eval_on(key, script)
             emit("counter.bumped", dep=dep, value=value)
-        with self._waiters:
-            self._waiters.notify_all()
+            if self._parked:  # unlocked, after the increment (see park)
+                self._fire(dep, value)
+        if not record_only and self._released:
+            self.run_released()
 
     # Weak-mode per-object freshness -----------------------------------------
 
@@ -333,28 +326,113 @@ class SubscriberVersionStore:
             store.hset(key, "ops", ops)
             return ops
 
-        # Record-only: callers may hold the subscriber's per-object lock.
+        # Record-only, releases collected: callers may hold the
+        # subscriber's per-object lock.
         value = self.kv.eval_on(key, script)
         observe_point("counter.fast_forward", dep=hashed_dep, value=value)
-        with self._waiters:
-            self._waiters.notify_all()
+        if self._parked:
+            self._fire(hashed_dep, value)
 
-    # Blocking wait used by threaded subscriber workers --------------------------
+    # Readiness index ------------------------------------------------------------
+
+    def park(
+        self,
+        key: Any,
+        dependencies: Dict[str, int],
+        on_ready: Callable[[], None],
+        since: Optional[float] = None,
+    ) -> bool:
+        """Register ``on_ready`` to run once the counters reach
+        ``dependencies`` (False, nothing registered, if they already
+        do). A key waits on its first unmet dependency; its wake-up
+        re-checks the rest. Re-checking *after* registering closes the
+        lost-wakeup window: bumpers test ``_parked`` unlocked after
+        their increment, so one side always sees the other. ``since``
+        enrols the key for :meth:`expire`."""
+        with self._index_lock:
+            for dep, need in dependencies.items():
+                if self.ops(dep) >= need:
+                    continue
+                entry = [need, next(self._tie), key, on_ready]
+                heapq.heappush(self._index.setdefault(dep, []), entry)
+                self._parked[key] = entry
+                if self.ops(dep) < need:
+                    if since is not None:
+                        heapq.heappush(self._ages, (since, entry[1], key))
+                    return True
+                del self._parked[key]
+            return False
+
+    def _fire(self, dep: str, value: int) -> None:
+        """Collect the keys parked on ``dep`` whose need ``value`` meets."""
+        with self._index_lock:
+            heap = self._index.get(dep)
+            while heap and heap[0][0] <= value:
+                entry = heapq.heappop(heap)
+                if self._parked.get(entry[2]) is entry:
+                    del self._parked[entry[2]]
+                    self._released.append(entry[3])
+            self._compact_locked()
+
+    def _compact_locked(self) -> None:
+        if not self._parked:
+            self._index.clear()
+            self._ages.clear()
+
+    def run_released(self) -> None:
+        """Run the callbacks of released keys; callers hold no locks."""
+        if not self._released:
+            return
+        with self._index_lock:
+            released, self._released = self._released, []
+        for on_ready in released:
+            on_ready()
+
+    def expire(self, before: float) -> List[Any]:
+        """Withdraw and return the parked keys whose ``since`` is at or
+        before ``before`` — the §6.5 give-up deadline."""
+        if not self._parked:
+            return []
+        expired = []
+        with self._index_lock:
+            ages = self._ages
+            while ages and ages[0][0] <= before:
+                _, _, key = heapq.heappop(ages)
+                if self._parked.pop(key, None) is not None:
+                    expired.append(key)
+            self._compact_locked()
+        return expired
+
+    def parked(self) -> List[Any]:
+        with self._index_lock:
+            return list(self._parked)
 
     def wait_satisfied(self, dependencies: Dict[str, int], timeout: float) -> bool:
-        end = time.monotonic() + timeout
-        with self._waiters:
-            while not self.satisfied(dependencies):
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._waiters.wait(min(remaining, 0.05))
-        return True
+        """Block until ``dependencies`` are met, at most ``timeout`` s."""
+        deadline = time.monotonic() + timeout
+        while True:
+            ready = threading.Event()
+            if not self.park(ready, dependencies, ready.set):
+                return True
+            if not ready.wait(max(0.0, deadline - time.monotonic())):
+                with self._index_lock:
+                    if self._parked.pop(ready, None) is not None:
+                        return False  # withdrawn before any release
+
+    def release_all(self) -> None:
+        """Release every parked key, running its callback."""
+        with self._index_lock:
+            self._released.extend(entry[3] for entry in self._parked.values())
+            self._parked.clear()
+            self._compact_locked()
+        self.run_released()
 
     # Bootstrap ---------------------------------------------------------------
 
     def bulk_load(self, snapshot: Dict[str, int]) -> None:
-        """Bootstrap step 1: adopt the publisher's ops counters (§4.4)."""
+        """Bootstrap step 1: adopt the publisher's ops counters (§4.4).
+        Every parked key is released: bootstrap re-decides each message
+        under weak semantics (§3.2)."""
         for hashed_dep, ops in snapshot.items():
             key = self._key(hashed_dep)
 
@@ -363,11 +441,11 @@ class SubscriberVersionStore:
                 store.hset(key, "ops", max(current, ops))
 
             self.kv.eval_on(key, script)
-        with self._waiters:
-            self._waiters.notify_all()
+        self.release_all()
 
     def flush(self) -> None:
+        """Drop every counter; parked keys are released to re-check
+        against the new generation's counters (§4.4)."""
         yield_point("store.flush")
         self.kv.flushall()
-        with self._waiters:
-            self._waiters.notify_all()
+        self.release_all()

@@ -14,7 +14,7 @@ class TestThreadedSocialEcosystem:
             world.spree.service,
             world.discourse.service,
         ]
-        pools = [SubscriberWorkerPool(s, workers=2, wait_timeout=0.5).start()
+        pools = [SubscriberWorkerPool(s, workers=2).start()
                  for s in services]
         try:
             ada = world.diaspora.users_create("ada", "ada@x")

@@ -62,7 +62,7 @@ class TestConcurrentPipeline:
             except Exception as exc:  # pragma: no cover - diagnostics
                 errors.append(exc)
 
-        with SubscriberWorkerPool(sub, workers=6, wait_timeout=0.5) as pool:
+        with SubscriberWorkerPool(sub, workers=6) as pool:
             threads = [threading.Thread(target=publisher_thread, args=(u,))
                        for u in users]
             for t in threads:
@@ -97,7 +97,7 @@ class TestConcurrentPipeline:
             t.start()
         for t in threads:
             t.join()
-        with SubscriberWorkerPool(sub, workers=4, wait_timeout=0.5) as pool:
+        with SubscriberWorkerPool(sub, workers=4) as pool:
             assert pool.wait_until_idle(timeout=30)
         assert SubUser.find(target.id).version == User.find(target.id).version
 

@@ -1,11 +1,13 @@
 """Delivery-semantics integration tests (§3.2, §4.2, Fig 8)."""
 
+import time
 
 from repro.core import Ecosystem
 from repro.core.delivery import GLOBAL_OBJECT
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import BelongsTo, Field, Model
+from repro.runtime.workers import SubscriberWorkerPool
 
 
 def build_social_publisher(eco, mode="causal"):
@@ -273,8 +275,19 @@ class TestWeakMode:
         user.update(name="v3")
         sub.subscriber.drain()
         assert SUser.find(user.id).name == "v1"  # stuck pre-loss
-        stuck = sub.subscriber.stuck_dependencies()
-        assert stuck  # diagnosable deadlock
+        key = f"pub/users/id/{user.id}"
+        # Diagnosable deadlock: v3 needs the lost v2's bump.
+        assert sub.subscriber.stuck_dependencies() == {key: (2, 1)}
+        # A running pool parks v3 (an unacked delivery, not queued);
+        # the diagnosis must still name the missing key.
+        store = sub.subscriber_version_store
+        with SubscriberWorkerPool(sub, workers=2, give_up_age=60.0):
+            deadline = time.monotonic() + 10
+            while not store.parked() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert len(store.parked()) == 1
+            assert len(sub.subscriber.queue) == 0
+            assert sub.subscriber.stuck_dependencies() == {key: (2, 1)}
 
     def test_weak_publisher_messages_have_single_dependency(self):
         eco = Ecosystem()

@@ -58,7 +58,7 @@ class TestRegistryReconciliation:
             except Exception as exc:  # pragma: no cover - diagnostics
                 errors.append(exc)
 
-        with SubscriberWorkerPool(sub, workers=6, wait_timeout=0.2) as pool:
+        with SubscriberWorkerPool(sub, workers=6) as pool:
             threads = [
                 threading.Thread(target=publisher_thread, args=(k,))
                 for k in range(PUBLISHER_THREADS)

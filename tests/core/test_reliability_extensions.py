@@ -77,7 +77,7 @@ class TestGiveUpTimeout:
         user.update(name="v2")  # lost forever
         user.update(name="v3")
         pool = SubscriberWorkerPool(
-            sub, workers=2, wait_timeout=0.01, max_deliveries=3,
+            sub, workers=2, give_up_age=0.03, max_deliveries=3,
             give_up_action="apply",
         )
         with pool:

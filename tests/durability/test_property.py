@@ -71,8 +71,10 @@ def run_workload(pub, sub, doc_cls, rng, operations=24):
                 doc.score += rng.randrange(1, 10)
                 doc.save()
         elif op < 0.85:
-            # The worker pools' stall rotation: pop the head, put it at
-            # the back — a ``defer`` record the restore must replay, or
+            # A defer rotation (the generation gate's; WALs written
+            # before dependency parking also hold worker-pool stall
+            # rotations): pop the head, put it at the back — a
+            # ``defer`` record the restore must replay, or
             # snapshot-boundary state diverges from pure-replay order.
             queue = sub.subscriber.queue
             message = queue.pop(timeout=0)

@@ -1,4 +1,4 @@
-"""Regression tests for three restore-path bugs found by inspection.
+"""Regression tests for four restore-path bugs.
 
 1. ``coal`` records now carry the absorbed uids, and replay drops them
    from pending — an absorbed message whose ``pub`` record is also on
@@ -12,6 +12,9 @@
 3. ``defer`` rotations are logged — restore used to rebuild the queue
    in original publish order, resurrecting the chain-head-buried
    ordering the rotation had already fixed.
+4. ``apply`` records are logged before the counter bump, so a causal
+   successor's record always follows its dependency's (found by the
+   conformance sweep's durability variant).
 
 Each test fails with its fix reverted.
 """
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
 from repro.broker.message import Message
 from repro.core import Ecosystem
 from repro.core.dependencies import dep_name
@@ -27,6 +32,7 @@ from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
 from repro.repair.digest import publisher_model_digest, subscriber_model_digest
+from repro.runtime.conformance import ScheduleConfig, run_schedule
 from repro.runtime.flow import FlowConfig
 from repro.runtime.flow.coalesce import merge_into
 
@@ -276,8 +282,9 @@ class TestDeferRotationReplay:
         for message in rest:
             queue.publish(message)
         queue.publish(head)  # buried: 38 dependents sit in front of it
-        # The rotation the worker pools perform on dependency stalls:
-        # every buried dependent pops, cannot apply, rotates to the
+        # The stall rotation worker pools performed before dependency
+        # parking (WALs from then still replay): every buried
+        # dependent pops, cannot apply, rotates to the
         # back; the head surfaces within one revolution. Killed right
         # after the rotation, before anything applied or acked.
         for _ in range(len(rest)):
@@ -307,3 +314,18 @@ class TestDeferRotationReplay:
         for i, doc_id in enumerate(doc_ids):
             row = SubDoc.__mapper__.find(doc_id)
             assert row is not None and row["value"] == i
+
+
+class TestApplyRecordOrder:
+    """An ``apply`` record is logged before the message bumps its
+    dependency counters. Logged after, a causal successor applied by
+    another worker in between lands *first* in the WAL, and replay
+    re-applies the two writes in the wrong order: the restored row is
+    the older value (these schedules diverged that way)."""
+
+    @pytest.mark.parametrize("seed", [101, 133, 165])
+    def test_restore_replays_causal_applies_in_order(self, seed):
+        result = run_schedule(
+            ScheduleConfig(mode="causal", seed=seed, durability=True)
+        )
+        assert result.ok, [str(v) for v in result.violations]

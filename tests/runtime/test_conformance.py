@@ -14,6 +14,7 @@ from repro.runtime.conformance import (
     INV_GATE,
     INV_IDLE,
     INV_LEAK,
+    INV_PARK,
     INV_POP,
     INV_WORKER,
     ScheduleConfig,
@@ -168,6 +169,36 @@ class TestFlowSchedules:
 
         assert flow_coalesce_safety_scenario() == []
         assert "flow.unsafe-coalesce-rejected" in run_directed_scenarios()
+
+
+class TestParkedGiveUpScenario:
+    """A dropped chain head parks the tail (give-up by age, §6.5)."""
+
+    def test_parked_tail_is_diagnosed_and_gives_up_at_its_age(self):
+        from repro.runtime.conformance.scenarios import (
+            _parked_give_up_run,
+            parked_give_up_scenario,
+        )
+
+        assert parked_give_up_scenario() == []
+        problems, gave_up = _parked_give_up_run(chain=4, give_up_age=20)
+        assert problems == []
+        # Tail messages first delivered at ticks 0, 1, 2.
+        assert gave_up == [(20, 1), (21, 2), (22, 3)]
+
+    def test_blind_stuck_dependencies_is_flagged(self):
+        from repro.runtime.conformance.scenarios import parked_give_up_scenario
+
+        def queue_only(self):
+            store = self.service.subscriber_version_store
+            out = {}
+            for message in self.queue.peek_all():
+                out.update(store.missing(message.dependencies))
+            return out
+
+        with mock.patch.object(SynapseSubscriber, "stuck_dependencies", queue_only):
+            violations = parked_give_up_scenario()
+        assert INV_PARK in invariants(violations)
 
 
 class TestGateRaceSchedule:

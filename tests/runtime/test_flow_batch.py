@@ -91,8 +91,8 @@ class TestProcessBatch:
         batch = sub.subscriber.queue.pop_many(8)
         assert len(batch) == 6
         tx_before = sub.database.stats.transactions
-        done, retry, errors = sub.subscriber.process_batch(batch)
-        assert (len(done), len(retry), errors) == (6, 0, 0)
+        done, waiting, retry, errors = sub.subscriber.process_batch(batch)
+        assert (len(done), len(waiting), len(retry), errors) == (6, 0, 0, 0)
         assert sub.database.stats.transactions == tx_before + 1
         for message in done:
             sub.subscriber.queue.ack(message)
@@ -111,11 +111,11 @@ class TestProcessBatch:
                 doc.save()
         batch = sub.subscriber.queue.pop_many(8)
         assert len(batch) == 5
-        done, retry, errors = sub.subscriber.process_batch(batch)
-        assert (len(done), len(retry), errors) == (5, 0, 0)
+        done, waiting, retry, errors = sub.subscriber.process_batch(batch)
+        assert (len(done), len(waiting), len(retry), errors) == (5, 0, 0, 0)
         assert SubDoc.__mapper__.find(doc.id)["score"] == 4
 
-    def test_unsatisfiable_dependencies_go_to_retry(self):
+    def test_unsatisfiable_dependencies_wait(self):
         eco, pub, sub, Doc, SubDoc = build_ecosystem()
         eco.broker.drop_next(1)  # lose the create: updates can't apply
         with pub.controller():
@@ -124,8 +124,11 @@ class TestProcessBatch:
             doc.save()
         batch = sub.subscriber.queue.pop_many(8)
         assert len(batch) == 1
-        done, retry, errors = sub.subscriber.process_batch(batch)
-        assert (len(done), len(retry), errors) == (0, 1, 0)
+        done, waiting, retry, errors = sub.subscriber.process_batch(batch)
+        assert (len(done), len(retry), errors) == (0, 0, 0)
+        # Waiting with its unmet requirement (the lost create's counter).
+        [(message, required)] = waiting
+        assert message is batch[0] and required
 
     def test_mid_batch_fault_redoes_completed_prefix(self):
         """A fault on the Nth apply rolls back the whole group commit;
@@ -137,13 +140,13 @@ class TestProcessBatch:
         batch = sub.subscriber.queue.pop_many(8)
         sub.database.faults.skip_next_writes = 2
         sub.database.faults.fail_next_writes = 1
-        done, retry, errors = sub.subscriber.process_batch(batch)
+        done, _, retry, errors = sub.subscriber.process_batch(batch)
         assert errors == 1
         assert len(done) + len(retry) == 4 and retry
         for message in done:
             sub.subscriber.queue.ack(message)
         # Retry the survivors now that the fault is consumed.
-        done2, retry2, errors2 = sub.subscriber.process_batch(retry)
+        done2, _, retry2, errors2 = sub.subscriber.process_batch(retry)
         assert (len(retry2), errors2) == (0, 0)
         for message in done2:
             sub.subscriber.queue.ack(message)
@@ -166,7 +169,7 @@ class TestProcessBatch:
         # faults again.
         sub.database.faults.skip_next_writes = 2
         sub.database.faults.fail_next_writes = 2
-        done, retry, errors = sub.subscriber.process_batch(batch)
+        done, _, retry, errors = sub.subscriber.process_batch(batch)
         assert errors == 1
         # The completed prefix is done (ackable), never retried.
         assert len(done) == 2 and len(retry) == 2
@@ -176,7 +179,7 @@ class TestProcessBatch:
         assert any(SubDoc.__mapper__.find(d.id) is not None for d in redone)
         for message in done:
             sub.subscriber.queue.ack(message)
-        done2, retry2, errors2 = sub.subscriber.process_batch(retry)
+        done2, _, retry2, errors2 = sub.subscriber.process_batch(retry)
         assert (len(retry2), errors2) == (0, 0)
         for message in done2:
             sub.subscriber.queue.ack(message)
@@ -204,10 +207,10 @@ class TestProcessBatch:
             Doc.create(name="d")
         queue = sub.subscriber.queue
         batch = queue.pop_many(8)
-        done, _, _ = sub.subscriber.process_batch(batch)
+        done = sub.subscriber.process_batch(batch).done
         queue.nack(done[0])  # simulate a missed ack: redelivery
         redelivered = queue.pop_many(8)
-        done2, retry2, errors2 = sub.subscriber.process_batch(redelivered)
+        done2, _, retry2, errors2 = sub.subscriber.process_batch(redelivered)
         assert (len(done2), len(retry2), errors2) == (1, 0, 0)
         assert sub.subscriber.duplicate_messages == 1
 
@@ -219,12 +222,11 @@ class TestBatchedWorkerPool:
             docs = [Doc.create(name=f"d{i}", score=i) for i in range(40)]
         # The 40 creates share one controller session, so their messages
         # form a 40-deep causal chain. Under heavy machine load a
-        # mid-chain dependency wait can exceed wait_timeout repeatedly,
-        # and the default max_deliveries=20 give-up budget (§6.5 drop)
-        # would discard the message; a generous budget keeps the test
-        # about batched draining, not give-up policy.
+        # mid-chain message can stay parked past the default 4 s give-up
+        # age (§6.5 drop); a generous budget keeps the test about
+        # batched draining, not give-up policy.
         pool = SubscriberWorkerPool(
-            sub, workers=3, wait_timeout=0.1, max_deliveries=10_000
+            sub, workers=3, give_up_age=1_000.0, max_deliveries=10_000
         )
         assert pool._flow is not None  # batched loop engaged
         with pool:

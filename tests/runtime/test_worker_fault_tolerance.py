@@ -33,14 +33,14 @@ class TestApplyFaults:
         sub.database.faults.fail_next_writes = 3
         for i in range(10):
             User.create(name=f"u{i}")
-        with SubscriberWorkerPool(sub, workers=2, wait_timeout=0.05) as pool:
+        with SubscriberWorkerPool(sub, workers=2) as pool:
             assert pool.wait_until_idle(timeout=20)
             assert pool.apply_errors >= 1
         assert SubUser.count() == 10
 
     def test_worker_threads_survive_faults(self):
         eco, pub, User, sub, SubUser = build()
-        pool = SubscriberWorkerPool(sub, workers=2, wait_timeout=0.05)
+        pool = SubscriberWorkerPool(sub, workers=2)
         with pool:
             sub.database.faults.fail_next_writes = 2
             for i in range(5):
@@ -57,7 +57,7 @@ class TestApplyFaults:
         eco, pub, User, sub, SubUser = build()
         sub.database.faults.down = True
         User.create(name="poison")
-        pool = SubscriberWorkerPool(sub, workers=1, wait_timeout=0.01,
+        pool = SubscriberWorkerPool(sub, workers=1,
                                     max_deliveries=3)
         with pool:
             assert pool.wait_until_idle(timeout=20)

@@ -13,7 +13,7 @@ class TestWorkerFleet:
 
     def test_fleet_drives_decorator_cascade(self):
         world = build_social_ecosystem()
-        with WorkerFleet(world.eco, workers=2, wait_timeout=0.5) as fleet:
+        with WorkerFleet(world.eco, workers=2) as fleet:
             ada = world.diaspora.users_create("ada", "a@x")
             world.diaspora.posts_create(
                 ada, "coffee coffee coffee, nothing but coffee"

@@ -89,7 +89,7 @@ class TestWorkerPool:
         user.update(name="v3")  # now blocked forever
         hits = []
         pool = SubscriberWorkerPool(
-            sub, workers=2, wait_timeout=0.01, max_deliveries=3,
+            sub, workers=2, give_up_age=0.03, max_deliveries=3,
             on_deadlock=lambda svc: hits.append(svc.name),
         )
         with pool:

@@ -149,8 +149,8 @@ class TestBatchedApplyFoldsOnce:
         before = sub.views.cache.version("view:posts")
         batch = queue.pop_many(8, timeout=0.0)
         assert len(batch) == 4
-        done, retry, errors = sub.subscriber.process_batch(batch)
-        assert len(done) == 4 and not retry and not errors
+        done, waiting, retry, errors = sub.subscriber.process_batch(batch)
+        assert len(done) == 4 and not waiting and not retry and not errors
         for message in done:
             queue.ack(message)
         assert eco.metrics.value("views.sub.batch_flushes") == 1
