@@ -28,7 +28,7 @@ import tempfile
 import time
 from typing import Any, Dict, Optional
 
-from benchmarks.common import emit, format_table
+from benchmarks.common import emit, environment, format_table
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 #: Creates per throughput variant.
@@ -190,6 +190,7 @@ def test_durability_cost_profile():
         json.dump({
             "benchmark": "durability",
             "quick": QUICK,
+            **environment(),
             "operations": OPERATIONS,
             "throughput": throughput,
             "logging_tax_none_vs_off": tax,

@@ -8,10 +8,12 @@ pytest with ``-s`` to see them inline; they are also appended to
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, Sequence
+import platform
+import subprocess
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-_REPORT_PATH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                            "bench_report.txt")
+_ROOT = os.path.dirname(os.path.dirname(__file__))
+_REPORT_PATH = os.path.join(_ROOT, "bench_report.txt")
 
 
 def emit(lines: Iterable[str]) -> None:
@@ -19,6 +21,27 @@ def emit(lines: Iterable[str]) -> None:
     print("\n" + text)
     with open(_REPORT_PATH, "a", encoding="utf-8") as fh:
         fh.write(text + "\n\n")
+
+
+def git_commit() -> Optional[str]:
+    """The commit checked out in this tree's own ``.git`` (None outside
+    a git work tree; uncommitted edits on top of it are not recorded)."""
+    git_dir = os.path.join(_ROOT, ".git")
+    try:
+        done = subprocess.run(["git", "--git-dir", git_dir, "rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def environment() -> Dict[str, Any]:
+    """Where a benchmark ran, for its JSON artifact."""
+    return {
+        "commit": git_commit(),
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+    }
 
 
 def format_table(title: str, headers: Sequence[str],

@@ -171,12 +171,21 @@ class Broker:
         Each queue receives its own wire-format copy, so subscribers can
         never observe each other's mutations. The message is serialised
         *once* per publish; each queue deserialises its own copy from the
-        shared payload (one ``to_json`` instead of one per subscriber).
+        shared payload (one ``to_json`` instead of one per subscriber),
+        and every copy shares the message's one canonical string, so the
+        WAL records of all copies splice the same encoding.
 
         Under a shard placement, queues owned by other shards receive the
         same wire payload via the forwarder instead of a local enqueue.
         """
+        payload = message.to_json()
+        wire: Optional[Message] = None
         if self.durability is not None:
+            # Canonical form from a decoded copy (the first local queue's):
+            # its keys are strings, as replay reads them (the live
+            # message may key a dict attribute by int).
+            wire = Message.from_json(payload)
+            message._canonical = wire.canonical()
             # Logged before fan-out: the publisher's version store is
             # already bumped, so the record carries the counter state a
             # restored process must resume publishing from.
@@ -204,7 +213,6 @@ class Broker:
                 delay = max(delay, queue.flow.publish_delay())
         if delay > 0:
             time.sleep(delay)
-        payload: Optional[str] = None
         for sub, queue in local:
             if self._should_drop():
                 self._dropped.increment()
@@ -216,16 +224,13 @@ class Broker:
                         app=message.app,
                     )
                 continue
-            if payload is None:
-                payload = message.to_json()
-            if message.trace is None:
-                queue.publish(Message.from_json(payload))
-            else:
-                start = trace_now()
-                copy = Message.from_json(payload)
-                queue.publish(copy)
-                if copy.trace is not None:
-                    copy.trace.add(STAGE_ROUTE, start, trace_now() - start)
+            start = trace_now()
+            copy = wire if wire is not None else Message.from_json(payload)
+            wire = None
+            copy._canonical = message._canonical
+            queue.publish(copy)
+            if copy.trace is not None:
+                copy.trace.add(STAGE_ROUTE, start, trace_now() - start)
             self._routed.increment()
         for sub in remote:
             if self._should_drop():
@@ -238,8 +243,6 @@ class Broker:
                         app=message.app,
                     )
                 continue
-            if payload is None:
-                payload = message.to_json()
             if message.trace is None:
                 forwarder(sub, payload)
             else:

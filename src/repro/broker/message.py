@@ -27,6 +27,10 @@ from repro.runtime.tracing import Trace
 #: accepted.
 WIRE_VERSION = 3
 
+#: The one canonical JSON encoder: sorted keys, no whitespace, ASCII.
+#: Shared so that encoding a message or a WAL record builds no encoder.
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 _seq = itertools.count(1)
 _seq_lock = threading.Lock()
 
@@ -99,8 +103,11 @@ class Message:
         #: message first parked on an unmet dependency.
         self.first_delivered: Optional[float] = None
         self.parked_at: Optional[float] = None
+        #: Cached :meth:`canonical` string; whoever mutates a published
+        #: message (only flow coalescing does) resets it to None.
+        self._canonical: Optional[str] = None
 
-    def to_json(self) -> str:
+    def _wire_dict(self) -> Dict[str, Any]:
         payload = {
             "wire_version": WIRE_VERSION,
             "uid": self.uid,
@@ -119,13 +126,32 @@ class Message:
             payload["increments"] = self.increments
         if self.cdc is not None:
             payload["cdc"] = self.cdc
+        return payload
+
+    def to_json(self) -> str:
+        payload = self._wire_dict()
         if self.trace is not None:
             payload["trace"] = self.trace.to_dict()
         return json.dumps(payload)
 
+    def canonical(self) -> str:
+        """The message's one canonical encoding: the wire payload minus
+        the trace (runtime observability state, not durable data), in
+        :data:`CANONICAL_JSON` form. Every WAL record carries it as
+        ``m``; it is encoded at most once per message version."""
+        if self._canonical is None:
+            self._canonical = CANONICAL_JSON.encode(self._wire_dict())
+        return self._canonical
+
     @classmethod
     def from_json(cls, payload: str) -> "Message":
-        data = json.loads(payload)
+        return cls.from_dict(json.loads(payload))
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "Message":
+        """Build a message from a decoded wire payload. The message
+        keeps its operations and dependencies rather than copying them,
+        so the caller hands over a dict it no longer uses."""
         version = data.get("wire_version", 1)
         if version > WIRE_VERSION:
             raise BrokerError(

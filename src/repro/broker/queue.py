@@ -301,19 +301,15 @@ class SubscriberQueue:
 
     def durable_state(self) -> Dict[str, Any]:
         """Snapshot payload for the durability subsystem: every message
-        still owed to the subscriber as a wire payload dict (in-flight
-        deliveries first, in seq order — the :meth:`requeue_unacked`
-        ordering a crash produces), plus the lifetime counters."""
+        still owed to the subscriber as its decoded canonical payload
+        (in-flight deliveries first, in seq order — the
+        :meth:`requeue_unacked` ordering a crash produces), plus the
+        lifetime counters."""
         with self._lock:
             owed = sorted(self._unacked.values(), key=lambda m: m.seq)
             owed.extend(self._items)
-            pending = []
-            for message in owed:
-                payload = json.loads(message.to_json())
-                payload.pop("trace", None)
-                pending.append(payload)
             return {
-                "pending": pending,
+                "pending": [json.loads(m.canonical()) for m in owed],
                 "decommissioned": self.decommissioned,
                 "published": self.total_published,
                 "acked": self.total_acked,

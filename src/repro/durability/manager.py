@@ -9,7 +9,7 @@ that orders the transition, so WAL order equals effect order:
 =========  =============================================================
 ``out``    publisher routed a message (captures the post-bump publisher
            version-store counters for the message's dependency keys)
-``pub``    a queue admitted a message (payload, trace dropped)
+``pub``    a queue admitted a message (its canonical payload)
 ``coal``   flow control merged a publish into a queued survivor
            (post-merge survivor payload — idempotent replace)
 ``shed``   flow control shed a weak publish (post-state deficit ledger)
@@ -47,7 +47,6 @@ pre-durability recovery ladder (docs/recovery.md).
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -63,14 +62,6 @@ from repro.durability.wal import (
     SegmentedWAL,
 )
 from repro.errors import WALCorrupt
-
-
-def wire_payload(message: Message) -> Dict[str, Any]:
-    """A message's wire payload as a dict, trace dropped (traces are
-    runtime observability state, not durable data)."""
-    data = json.loads(message.to_json())
-    data.pop("trace", None)
-    return data
 
 
 def _uid_seq(uid: str) -> Optional[int]:
@@ -146,8 +137,8 @@ class DurabilityManager:
     def restoring(self) -> bool:
         return self._restoring
 
-    def _append(self, rec: Dict[str, Any]) -> None:
-        self.wal.append(rec)
+    def _append(self, rec: Dict[str, Any], m: Optional[str] = None) -> None:
+        self.wal.append(rec, m)
         self._appends_since_snapshot += 1
 
     def log_out(self, message: Message) -> None:
@@ -168,23 +159,20 @@ class DurabilityManager:
                 pvs.kv.hget(key, "ops") or 0,
                 pvs.kv.hget(key, "version") or 0,
             ]
-        rec = {"t": "out", "app": message.app, "m": wire_payload(message),
-               "vs": counters}
+        rec = {"t": "out", "app": message.app, "vs": counters}
         if message.cdc is not None:
             # Piggybacked cursor: advancing past this outbox entry is
             # atomic with capturing the counters its publish bumped —
             # a crash can never leave the counters durable but the
             # cursor behind (which would republish and double-bump).
             rec["cur"] = message.cdc
-        self._append(rec)
+        self._append(rec, message.canonical())
         self.maybe_snapshot()
 
     def log_pub(self, queue_name: str, message: Message) -> None:
         if self._restoring:
             return
-        self._append(
-            {"t": "pub", "q": queue_name, "m": wire_payload(message)}
-        )
+        self._append({"t": "pub", "q": queue_name}, message.canonical())
 
     def log_coal(self, queue_name: str, survivor: Message) -> None:
         if self._restoring:
@@ -197,8 +185,8 @@ class DurabilityManager:
         # counter bumps under causal/global delivery).
         self._append(
             {"t": "coal", "q": queue_name, "uid": survivor.uid,
-             "m": wire_payload(survivor),
-             "absorbed": list(survivor.coalesced_uids)}
+             "absorbed": list(survivor.coalesced_uids)},
+            survivor.canonical(),
         )
 
     def log_shed(self, queue_name: str, message: Message, flow: Any) -> None:
@@ -259,8 +247,8 @@ class DurabilityManager:
         if self._restoring:
             return
         self._append(
-            {"t": "apply", "svc": service_name, "uid": message.uid,
-             "m": wire_payload(message)}
+            {"t": "apply", "svc": service_name, "uid": message.uid},
+            message.canonical(),
         )
 
     def log_gen(self, service_name: str, app: str, generation: int) -> None:
@@ -424,7 +412,7 @@ class DurabilityManager:
                 queue = broker.queue_for(queue_name)
                 messages = []
                 for payload in entries.values():
-                    message = Message.from_json(json.dumps(payload))
+                    message = Message.from_dict(payload)
                     seq = _uid_seq(message.uid)
                     if seq is not None:
                         max_seq = max(max_seq, seq)
@@ -627,7 +615,7 @@ class DurabilityManager:
             pending.pop(rec["q"], None)
             shed.pop(rec["q"], None)
         elif kind == "apply":
-            message = Message.from_json(json.dumps(rec["m"]))
+            message = Message.from_dict(rec["m"])
             seq = _uid_seq(message.uid)
             if seq is not None:
                 max_seq = seq
@@ -654,7 +642,7 @@ class DurabilityManager:
         elif kind == "out":
             service = eco.local_service(rec["app"])
             if service is not None:
-                message = Message.from_json(json.dumps(rec["m"]))
+                message = Message.from_dict(rec["m"])
                 seq = _uid_seq(message.uid)
                 if seq is not None:
                     max_seq = seq

@@ -35,6 +35,7 @@ import threading
 import zlib
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.broker.message import CANONICAL_JSON
 from repro.errors import DurabilityError, WALCorrupt
 
 #: On-disk WAL schema version. Bump when a record changes meaning;
@@ -94,20 +95,35 @@ class CrashInjector:
         raise SimulatedCrash(f"injected crash at {point}")
 
 
-def canonical_record(rec: Dict[str, Any]) -> str:
+def canonical_record(rec: Dict[str, Any], m: Optional[str] = None) -> str:
     """The CRC input: sorted keys, no whitespace — both writer and
-    replayer derive the same bytes for the same record."""
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    replayer derive the same bytes for the same record.
+
+    ``m`` is a message already in canonical form
+    (:meth:`~repro.broker.message.Message.canonical`): it is spliced in
+    verbatim as the record's ``"m"`` member, never re-encoded."""
+    encode = CANONICAL_JSON.encode
+    if m is None:
+        return encode(rec)
+    return "{" + ",".join(
+        f"{encode(key)}:{m if key == 'm' else encode(rec[key])}"
+        for key in sorted([*rec, "m"])
+    ) + "}"
 
 
 def record_crc(rec: Dict[str, Any]) -> int:
     return zlib.crc32(canonical_record(rec).encode("utf-8")) & 0xFFFFFFFF
 
 
-def encode_record(rec: Dict[str, Any]) -> str:
-    """One WAL line (without the newline)."""
-    envelope = {"v": WAL_WIRE_VERSION, "crc": record_crc(rec), "rec": rec}
-    return json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+def encode_record(rec: Dict[str, Any], m: Optional[str] = None) -> str:
+    """One WAL line (without the newline): the envelope
+    ``{"crc":…,"rec":…,"v":…}`` formed around the canonical record
+    string (``m`` spliced in, see :func:`canonical_record`), which is
+    built once and is also the CRC input. Canonical JSON is ASCII, so a
+    line's length is its byte count."""
+    body = canonical_record(rec, m)
+    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+    return '{"crc":%d,"rec":%s,"v":%d}' % (crc, body, WAL_WIRE_VERSION)
 
 
 def decode_record(line: str) -> Dict[str, Any]:
@@ -256,9 +272,10 @@ class SegmentedWAL:
 
     # -- appending -----------------------------------------------------------
 
-    def append(self, rec: Dict[str, Any]) -> Tuple[int, int]:
-        """Durably append one record; returns its position."""
-        line = encode_record(rec)
+    def append(self, rec: Dict[str, Any], m: Optional[str] = None) -> Tuple[int, int]:
+        """Durably append one record (``m``: see :func:`encode_record`);
+        returns its position."""
+        line = encode_record(rec, m)
         with self._lock:
             if self._segment_count >= self.segment_records:
                 self._rotate_locked()
@@ -276,7 +293,7 @@ class SegmentedWAL:
                 fh = self._handle()
                 fh.write(line + "\n")
                 fh.flush()
-                self._track_written(len(line.encode("utf-8")) + 1)
+                self._track_written(len(line) + 1)
                 if self.fsync == FSYNC_ALWAYS:
                     os.fsync(fh.fileno())
                     if self._fsyncs is not None:
@@ -291,9 +308,7 @@ class SegmentedWAL:
         fh = self._handle()
         fh.write("\n".join(self._buffer) + "\n")
         fh.flush()
-        self._track_written(
-            sum(len(line.encode("utf-8")) + 1 for line in self._buffer)
-        )
+        self._track_written(sum(len(line) + 1 for line in self._buffer))
         if do_fsync:
             os.fsync(fh.fileno())
             if self._fsyncs is not None:

@@ -105,6 +105,9 @@ def merge_into(survivor: Message, absorbed: Message) -> None:
 
     survivor.coalesced_uids.append(absorbed.uid)
     survivor.coalesced_uids.extend(absorbed.coalesced_uids)
+    # A new message version: its ``coal`` and ``apply`` records must
+    # carry the merged payload, not the cached pre-merge encoding.
+    survivor._canonical = None
     if survivor.trace is None and absorbed.trace is not None:
         survivor.trace = absorbed.trace
 
