@@ -86,7 +86,6 @@ class StepResult(NamedTuple):
     popped: List[Message]
     applied: int = 0
     parked: int = 0
-    retried: int = 0
     errors: int = 0
 
 
@@ -205,16 +204,13 @@ class SynapseSubscriber:
         lost)."""
         if self.queue is None:
             return 0
-        flow = getattr(self.service.ecosystem, "flow", None)
-        batched = flow is not None and flow.config.batch_apply
-        batch_max = flow.config.batch_max if batched else 1
         dispatcher = Dispatcher(self)
         processed = idle = 0
         try:
             # Quiescent once a whole revolution of the queue neither
             # applied nor parked anything (only deferrals and retries).
             while idle <= len(self.queue):
-                step = dispatcher.step(batch_max)
+                step = dispatcher.step()
                 processed += step.applied
                 idle = 0 if step.applied or step.parked else idle + 1
         finally:
@@ -392,7 +388,7 @@ class SynapseSubscriber:
             done.append(message)
             if message.trace is not None:
                 message.trace.add(STAGE_BATCH, batch_start, elapsed)
-        yield_point("batch.applied", size=len(completed), retried=len(retry))
+        yield_point("batch.applied", size=len(completed), retry=len(retry))
         return retry, errors
 
     def _apply_one(
@@ -807,6 +803,11 @@ class Dispatcher:
     ``max_deliveries``. ``give_up(message)`` settles those (default:
     drop). ``clock`` measures age — ``time.monotonic`` in worker pools,
     the scheduler's step count in the harness (replays stay identical).
+
+    ``batch_max`` is the one batch-size rule: the flow config's
+    ``batch_max`` when flow control is on (group-committed by
+    ``process_batch``), else 1. ``pop_many`` never waits past the first
+    message, so a step pops ``min(backlog, batch_max)``.
     """
 
     def __init__(
@@ -822,21 +823,28 @@ class Dispatcher:
         self.give_up_age = give_up_age
         self.max_deliveries = max_deliveries
         self.give_up = give_up or (lambda message: subscriber.queue.ack(message))
+        flow = getattr(subscriber.service.ecosystem, "flow", None)
+        self.batch_max = flow.config.batch_max if flow is not None else 1
 
     def step(
-        self, batch_max: int = 1, timeout: float = 0.0, abandon: bool = False
+        self,
+        batch_max: Optional[int] = None,
+        timeout: float = 0.0,
+        abandon: bool = False,
     ) -> StepResult:
-        """Pop up to ``batch_max`` messages (blocking up to ``timeout``
-        for the first), run them through ``process_batch`` and settle
-        each. ``abandon`` simulates a worker crash after the apply: the
-        popped deliveries are left unacked (conformance crash
-        recovery)."""
+        """Pop up to ``batch_max`` messages (default: the dispatcher's
+        ``batch_max``; blocking up to ``timeout`` for the first), run
+        them through ``process_batch`` and settle each. ``abandon``
+        simulates a worker crash after the apply: the popped deliveries
+        are left unacked (conformance crash recovery)."""
         subscriber = self.subscriber
         queue = subscriber.queue
         store = subscriber.service.subscriber_version_store
         if self.give_up_age != math.inf:
             for message in store.expire(self.clock() - self.give_up_age):
                 self.give_up(message)
+        if batch_max is None:
+            batch_max = self.batch_max
         batch = queue.pop_many(batch_max, timeout)
         if not batch:
             store.run_released()  # collected outside a step, or by an abandoned one
@@ -881,6 +889,4 @@ class Dispatcher:
         store.run_released()
         if queue.flow is not None:
             queue.flow.batch_size.record(len(batch))
-        return StepResult(
-            batch, len(outcome.done), parked, len(outcome.retry), outcome.errors
-        )
+        return StepResult(batch, len(outcome.done), parked, outcome.errors)

@@ -441,9 +441,7 @@ class ConformanceHarness:
         """A virtual worker running the production dispatch step on the
         scheduler's clock; a crash worker pops batches of one so it
         abandons one precise in-flight delivery."""
-        batch_max = 1
-        if self.config.flow and abandon_after is None:
-            batch_max = self.eco.flow.config.batch_max
+        batch_max = 1 if abandon_after is not None else None
 
         def give_up(message: Any) -> None:
             # §6.5 give-up: a dependency that will never arrive (dropped

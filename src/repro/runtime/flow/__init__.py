@@ -8,9 +8,9 @@ Three cooperating pieces, enabled together via
   throttle stronger modes, kill only as the last resort);
 - :mod:`repro.runtime.flow.coalesce` — semantics-aware collapsing of
   consecutive queued writes to the same object;
-- :mod:`repro.runtime.flow.batch` — AIMD sizing for the dependency-
-  aware batched apply (``SubscriberQueue.pop_many`` +
-  ``SynapseSubscriber.process_batch``).
+- batched apply — every dispatch step pops up to
+  ``FlowConfig.batch_max`` messages (``Dispatcher.batch_max``) and
+  group-commits them through ``SynapseSubscriber.process_batch``.
 
 See ``docs/flow_control.md`` for the full design.
 """
@@ -24,7 +24,6 @@ from repro.runtime.flow.admission import (
     FlowController,
     QueueFlow,
 )
-from repro.runtime.flow.batch import BatchSizer
 from repro.runtime.flow.coalesce import (
     coalesce_key,
     counter_increments,
@@ -40,7 +39,6 @@ __all__ = [
     "STATE_OPEN",
     "STATE_SHEDDING",
     "STATE_THROTTLED",
-    "BatchSizer",
     "FlowConfig",
     "FlowController",
     "QueueFlow",

@@ -1,7 +1,8 @@
 """Flow-control tunables.
 
 One frozen config object shared by admission control (watermarks,
-credits), coalescing and the batched-apply path. Defaults are chosen so
+credits), coalescing and the batched-apply path (``batch_max``, the
+size every dispatch step pops up to). Defaults are chosen so
 ``FlowConfig()`` is safe everywhere: no throttle sleeps (deterministic
 tests), credit capacity inherited from each queue's ``max_size``.
 """
@@ -39,14 +40,8 @@ class FlowConfig:
     #: scan will look for the coalesce candidate before giving up.
     coalesce_window: int = 32
 
-    batch_apply: bool = True
-    batch_min: int = 1
+    #: Messages one dispatch step pops and group-commits at most.
     batch_max: int = 16
-    #: AIMD: batch size grows by ``aimd_increase`` after a full clean
-    #: batch and shrinks by ``aimd_decrease`` when dependency retries or
-    #: apply errors dominate.
-    aimd_increase: int = 2
-    aimd_decrease: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.low_watermark < self.high_watermark <= 1.0:
@@ -56,16 +51,7 @@ class FlowConfig:
             )
         if self.capacity is not None and self.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if not 1 <= self.batch_min <= self.batch_max:
-            raise ValueError(
-                f"need 1 <= batch_min <= batch_max, got "
-                f"min={self.batch_min} max={self.batch_max}"
-            )
-        if self.aimd_increase < 1:
-            raise ValueError(f"aimd_increase must be >= 1, got {self.aimd_increase}")
-        if not 0.0 < self.aimd_decrease < 1.0:
-            raise ValueError(
-                f"aimd_decrease must be in (0, 1), got {self.aimd_decrease}"
-            )
+        if self.batch_max < 1:
+            raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
         if self.throttle_delay < 0:
             raise ValueError(f"throttle_delay must be >= 0, got {self.throttle_delay}")

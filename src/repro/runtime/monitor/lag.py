@@ -278,21 +278,6 @@ class LagMonitor:
                 _link_metric(publisher, subscriber_name, "dwell")
             ).record(dwell)
 
-    def link_pressure(self, subscriber_name: str) -> float:
-        """Cheap AIMD signal for the flow-control batch sizer: the worst
-        ``window p99 / SLO p99`` across the subscriber's publisher links
-        (no full :meth:`health` evaluation, no queue scans)."""
-        with self._lock:
-            windows = list(self._windows.items())
-        worst = 0.0
-        for (publisher, subscriber), window in windows:
-            if subscriber != subscriber_name or not len(window):
-                continue
-            slo = self.slo_for(publisher, subscriber)
-            if slo.p99_lag > 0:
-                worst = max(worst, window.percentile(99) / slo.p99_lag)
-        return worst
-
     # -- link discovery -----------------------------------------------------
 
     def links(self) -> List[Tuple[str, str]]:

@@ -57,7 +57,7 @@ STAGE_DEP_WAIT = "subscriber.dep_wait"
 STAGE_APPLY = "subscriber.apply"
 #: Group-commit window of the flow-control batched apply: one span per
 #: batched message, covering the whole batch transaction it rode in.
-STAGE_BATCH = "subscriber.batch_apply"
+STAGE_BATCH = "subscriber.group_commit"
 
 MARK_ENQUEUED = "queue.enqueued"
 MARK_ACKED = "subscriber.ack"

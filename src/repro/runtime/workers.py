@@ -3,9 +3,11 @@
 "Messages in the queue are processed in parallel by multiple subscriber
 workers per application" (§4). Each worker runs the subscriber's
 dispatch step (:class:`~repro.core.subscriber.Dispatcher`): pop, verify,
-apply and ack. A message whose dependencies are unmet parks without
-blocking the worker, and is released by the counter bump that meets
-them. One still waiting at the give-up age (§6.5's timeout) is dropped
+apply and ack up to the dispatcher's ``batch_max`` messages at once
+(``FlowConfig.batch_max`` with flow control on, else one), exactly as
+``SynapseSubscriber.drain`` does. A message whose dependencies are
+unmet parks without blocking the worker, and is released by the
+counter bump that meets them. One still waiting at the give-up age (§6.5's timeout) is dropped
 or weak-applied and triggers the deadlock callback — production Synapse
 rebootstraps the subscriber at that point.
 """
@@ -136,19 +138,6 @@ class SubscriberWorkerPool:
         self._reg_deadlocked = registry.counter(f"workers.{service.name}.deadlocked")
         self._reg_apply_errors = registry.counter(f"workers.{service.name}.apply_errors")
         self._recorder = getattr(service.ecosystem, "recorder", None)
-        # Flow control: when the ecosystem has batched apply enabled the
-        # workers pop up to the AIMD batch size (group-committed by
-        # process_batch), sharing one sizer across the pool.
-        controller = getattr(service.ecosystem, "flow", None)
-        if controller is not None and controller.config.batch_apply:
-            from repro.runtime.flow import BatchSizer
-
-            self._flow = controller
-            self._sizer = BatchSizer(controller.config)
-        else:
-            self._flow = None
-            self._sizer = None
-        self._batches = Counter()
 
     @property
     def deadlocked_messages(self) -> int:
@@ -189,13 +178,9 @@ class SubscriberWorkerPool:
     def _run(self) -> None:
         if self.service.subscriber.queue is None:
             return
-        sizer = self._sizer
-        monitor = getattr(self.service.ecosystem, "monitor", None)
         while not self._stop.is_set():
             try:
-                step = self._dispatcher.step(
-                    sizer.current if sizer is not None else 1, timeout=0.05
-                )
+                step = self._dispatcher.step(timeout=0.05)
             except QueueDecommissioned:
                 self._record_anomaly("queue.decommissioned")
                 if self.on_deadlock is not None:
@@ -208,16 +193,6 @@ class SubscriberWorkerPool:
                 # not kill the worker: the step nacked it for redelivery.
                 self._apply_errors.increment(step.errors)
                 self._reg_apply_errors.increment(step.errors)
-            if sizer is not None:
-                sizer.on_batch(
-                    popped=len(step.popped),
-                    applied=step.applied,
-                    failed=step.retried + step.errors,
-                )
-                if self._batches.increment() % 32 == 0 and monitor is not None:
-                    sizer.observe_pressure(
-                        monitor.link_pressure(self.service.name)
-                    )
             with self._idle:
                 self._idle.notify_all()
 

@@ -148,7 +148,7 @@ def park_one(sub):
 class TestReversedChain:
     @pytest.mark.parametrize("flow", [
         pytest.param({}, id="per-message"),
-        pytest.param({"batch_apply": True, "batch_max": 8}, id="batched"),
+        pytest.param({"batch_max": 8}, id="batched"),
     ])
     def test_reversed_chain_drains_without_waiting(self, flow):
         """Each parked message is released by the very bump that
@@ -156,7 +156,7 @@ class TestReversedChain:
         eco, pub, sub, Doc, SubDoc = chain_ecosystem(**flow)
         docs = reversed_chain(pub, sub, Doc)
         pool = SubscriberWorkerPool(sub, workers=3)
-        assert (pool._flow is not None) == bool(flow)
+        assert pool._dispatcher.batch_max == flow.get("batch_max", 1)
         start = time.monotonic()
         with pool:
             assert pool.wait_until_idle(timeout=20)

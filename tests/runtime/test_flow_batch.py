@@ -1,64 +1,16 @@
 """Dependency-aware batched apply: ``process_batch`` group commit,
-in-batch causal chains, mid-batch fault recovery, and the AIMD sizer."""
+in-batch causal chains, mid-batch fault recovery, and the one
+batch-size rule every dispatch step follows."""
+
+import pytest
 
 from repro.core import Ecosystem
+from repro.core.subscriber import Dispatcher
 from repro.databases.document import MongoLike
 from repro.databases.relational import PostgresLike
 from repro.orm import Field, Model
-from repro.runtime.flow import BatchSizer, FlowConfig
+from repro.runtime.flow import FlowConfig
 from repro.runtime.workers import SubscriberWorkerPool
-
-
-class TestBatchSizer:
-    def _sizer(self, **kwargs):
-        defaults = dict(batch_min=1, batch_max=16, aimd_increase=2,
-                        aimd_decrease=0.5)
-        defaults.update(kwargs)
-        return BatchSizer(FlowConfig(**defaults))
-
-    def test_starts_at_batch_min(self):
-        assert self._sizer(batch_min=3).current == 3
-
-    def test_full_clean_batches_grow_additively(self):
-        sizer = self._sizer()
-        assert sizer.on_batch(popped=1, applied=1, failed=0) == 3
-        assert sizer.on_batch(popped=3, applied=3, failed=0) == 5
-        # Partial batch (queue drained): no growth signal.
-        assert sizer.on_batch(popped=2, applied=2, failed=0) == 5
-
-    def test_growth_caps_at_batch_max(self):
-        sizer = self._sizer(batch_max=4)
-        for _ in range(10):
-            sizer.on_batch(popped=sizer.current, applied=sizer.current,
-                           failed=0)
-        assert sizer.current == 4
-
-    def test_failure_dominated_batch_halves(self):
-        sizer = self._sizer()
-        for _ in range(4):
-            sizer.on_batch(popped=sizer.current, applied=sizer.current,
-                           failed=0)
-        grown = sizer.current
-        assert grown > 1
-        assert sizer.on_batch(popped=4, applied=1, failed=3) == max(
-            1, int(grown * 0.5)
-        )
-
-    def test_minor_failures_do_not_shrink(self):
-        sizer = self._sizer()
-        sizer.on_batch(popped=1, applied=1, failed=0)
-        before = sizer.current
-        assert sizer.on_batch(popped=8, applied=7, failed=1) == before
-
-    def test_lag_pressure_grows_and_headroom_decays(self):
-        sizer = self._sizer()
-        assert sizer.observe_pressure(2.0) == 3  # over SLO: drain harder
-        assert sizer.observe_pressure(1.5) == 5
-        assert sizer.observe_pressure(0.5) == 5  # in-band: hold
-        assert sizer.observe_pressure(0.1) == 4  # healthy: decay by one
-        for _ in range(10):
-            sizer.observe_pressure(0.0)
-        assert sizer.current == 1  # floors at batch_min
 
 
 def build_ecosystem(mode="causal", flow=True, coalesce=False, batch_max=8):
@@ -228,7 +180,7 @@ class TestBatchedWorkerPool:
         pool = SubscriberWorkerPool(
             sub, workers=3, give_up_age=1_000.0, max_deliveries=10_000
         )
-        assert pool._flow is not None  # batched loop engaged
+        assert pool._dispatcher.batch_max == 8  # batched loop engaged
         with pool:
             assert pool.wait_until_idle(timeout=10)
         for doc in docs:
@@ -239,9 +191,44 @@ class TestBatchedWorkerPool:
     def test_flow_disabled_pool_keeps_single_message_loop(self):
         eco, pub, sub, Doc, SubDoc = build_ecosystem(flow=False)
         pool = SubscriberWorkerPool(sub, workers=2)
-        assert pool._flow is None
+        assert pool._dispatcher.batch_max == 1
         with pub.controller():
             doc = Doc.create(name="d")
         with pool:
             assert pool.wait_until_idle(timeout=10)
         assert SubDoc.__mapper__.find(doc.id) is not None
+
+
+class TestBatchSize:
+    """Pool workers and ``drain`` pop ``batch_max`` from the first step:
+    a backlog is drained in full batches, not a ramp up to them."""
+
+    def _backlog(self, count=20):
+        eco, pub, sub, Doc, SubDoc = build_ecosystem(batch_max=8)
+        with pub.controller():
+            # Distinct objects: coalescing could not merge them anyway.
+            docs = [Doc.create(name=f"d{i}") for i in range(count)]
+        assert len(sub.subscriber.queue) == count
+        return eco, sub, SubDoc, docs
+
+    @pytest.mark.parametrize("runner", ["pool", "drain"])
+    def test_backlog_drains_in_full_batches(self, runner):
+        eco, sub, SubDoc, docs = self._backlog()
+        if runner == "pool":
+            with SubscriberWorkerPool(sub, workers=1) as pool:
+                assert pool.wait_until_idle(timeout=10)
+            assert pool.deadlocked_messages == 0
+        else:
+            assert sub.subscriber.drain() == len(docs)
+        sizes = eco.metrics.histogram("flow.sub.batch_size")
+        assert sizes.count == 3
+        assert [sizes.percentile(p) for p in (1, 50, 100)] == [4, 8, 8]
+        for doc in docs:
+            assert SubDoc.__mapper__.find(doc.id) is not None
+
+    def test_explicit_size_overrides_the_default(self):
+        eco, sub, SubDoc, docs = self._backlog(count=4)
+        dispatcher = Dispatcher(sub.subscriber)
+        assert dispatcher.batch_max == 8
+        assert len(dispatcher.step(1).popped) == 1
+        assert len(dispatcher.step().popped) == 3
